@@ -16,9 +16,10 @@ use std::path::PathBuf;
 use optimus::baselines::common::SystemContext;
 use optimus::baselines::{megatron_balanced, megatron_lm};
 use optimus::cluster::DurNs;
+use optimus::cluster::FpHasher;
 use optimus::modeling::Workload;
 use optimus::pipeline::{gpipe, simulate_pipeline, PipelineSpec, StageSpec, TimedKernel};
-use optimus::sim::{SimResult, TaskGraph};
+use optimus::sim::{all_bubbles, BubbleKind, SimResult, TaskGraph};
 use optimus::trace::compact_timeline;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -28,10 +29,13 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 fn check_golden(name: &str, graph: &TaskGraph, result: &SimResult) {
-    let actual = compact_timeline(graph, result);
+    check_golden_text(name, &compact_timeline(graph, result));
+}
+
+fn check_golden_text(name: &str, actual: &str) {
     let path = golden_path(name);
     if std::env::var_os("OPTIMUS_REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, &actual).expect("write golden trace");
+        std::fs::write(&path, actual).expect("write golden trace");
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -118,8 +122,80 @@ fn megatron_balanced_small_matches_golden() {
     );
 }
 
+/// Bubble fingerprint of one layout: a content hash over every bubble
+/// (device, start, end, kind) in extraction order, plus per-kind counts and
+/// totals so a diff says which category moved.
+fn bubble_fingerprint(name: &str, graph: &TaskGraph, result: &SimResult) -> String {
+    let bubbles = all_bubbles(graph, result);
+    let mut h = FpHasher::new("bubbles");
+    for b in &bubbles {
+        h.fold_u32(b.device)
+            .fold_u64(b.start.0)
+            .fold_u64(b.end.0)
+            .fold_str(b.kind.label());
+    }
+    let mut out = format!("{name}: {} bubbles, fp {}\n", bubbles.len(), h.finish());
+    for kind in BubbleKind::ALL {
+        let of_kind = bubbles.iter().filter(|b| b.kind == kind);
+        let total: u64 = of_kind.clone().map(|b| b.duration().0).sum();
+        out.push_str(&format!(
+            "  {:<28} {:>4} bubbles {:>12} ns\n",
+            kind.label(),
+            of_kind.count(),
+            total
+        ));
+    }
+    out
+}
+
+/// Pins `all_bubbles` on every golden layout.
 #[test]
-fn gpipe_uniform_matches_golden() {
+fn golden_layout_bubbles_match_golden() {
+    use optimus::cluster::LinkClass;
+    use optimus::faults::{FaultModel, FaultScenario};
+
+    let w = small_workload();
+    let ctx = SystemContext::hopper(8).unwrap();
+    let megatron = megatron_lm(&w, (2, 2, 2), &ctx).unwrap();
+    let balanced = megatron_balanced(&w, (2, 2, 2), 2, &ctx).unwrap();
+    let faulted = FaultModel::new(7)
+        .with(FaultScenario::StragglerDevice {
+            device: 0,
+            slowdown: 1.5,
+        })
+        .unwrap()
+        .with(FaultScenario::DegradedLink {
+            class: LinkClass::NvLink,
+            bandwidth_factor: 0.5,
+            latency_factor: 1.5,
+        })
+        .unwrap()
+        .inject(&megatron.lowered.graph, &ctx.topo)
+        .unwrap()
+        .graph;
+    let faulted_result = optimus::sim::simulate(&faulted).unwrap();
+    let (gpipe_lowered, gpipe_result) = gpipe_uniform();
+    let mut text = String::new();
+    for (name, graph, result) in [
+        ("gpipe_uniform", &gpipe_lowered.graph, &gpipe_result),
+        (
+            "megatron_1f1b_small",
+            &megatron.lowered.graph,
+            &megatron.result,
+        ),
+        (
+            "megatron_balanced_small",
+            &balanced.lowered.graph,
+            &balanced.result,
+        ),
+        ("megatron_1f1b_small_faulted", &faulted, &faulted_result),
+    ] {
+        text.push_str(&bubble_fingerprint(name, graph, result));
+    }
+    check_golden_text("bubbles.txt", &text);
+}
+
+fn gpipe_uniform() -> (optimus::pipeline::Lowered, SimResult) {
     let stage = StageSpec {
         fwd: vec![TimedKernel {
             label: "f",
@@ -143,6 +219,11 @@ fn gpipe_uniform_matches_golden() {
         p2p: DurNs(50),
     };
     let sched = gpipe(4, 8).unwrap();
-    let (lowered, result) = simulate_pipeline(&spec, &sched, &[]).unwrap();
+    simulate_pipeline(&spec, &sched, &[]).unwrap()
+}
+
+#[test]
+fn gpipe_uniform_matches_golden() {
+    let (lowered, result) = gpipe_uniform();
     check_golden("gpipe_uniform.txt", &lowered.graph, &result);
 }
