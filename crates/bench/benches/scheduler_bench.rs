@@ -1,4 +1,4 @@
-//! Microbenchmarks of the hot paths: the discrete-event engine, the bubble
+//! Microbenchmarks of the hot paths: the simulation engine, the bubble
 //! scheduler's per-partition packing, and the balanced partitioner.
 //!
 //! Runs under `cargo bench` with a plain `Instant`-based harness (no

@@ -19,7 +19,6 @@ pub mod planner_scaling;
 pub mod plansvc;
 pub mod recovery;
 pub mod resilience;
-pub mod symmetry;
 pub mod table1;
 pub mod table4;
 pub mod table5;

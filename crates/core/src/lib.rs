@@ -64,8 +64,8 @@ pub use optimus::{
 };
 pub use persist::{SavedSchedule, FORMAT_VERSION, MIN_FORMAT_VERSION};
 pub use planner::{
-    plan_chunks, plan_model, resolve_workers, search_plan_chunks, search_plans, CandidateVerdict,
-    EncoderCandidate, PlanSearch, PlannerOutput, SearchChunk, SearchStats, WorkerTiming,
+    plan_chunks, plan_model, search_plan_chunks, search_plans, CandidateVerdict, EncoderCandidate,
+    PlanSearch, PlannerOutput, SearchChunk, SearchStats, WorkerTiming,
 };
 pub use profile::{DeviceProfile, FreeInterval, LlmProfile, LlmScheduleKind, Ts};
 pub use robustness::{drift_study, jitter_study, perturb_uniform, DriftReport, RobustnessReport};

@@ -171,12 +171,6 @@ pub struct PlanSearch {
     pub stats: SearchStats,
 }
 
-/// Resolves a worker-count knob: `0` means one worker per available core.
-/// (Delegates to the shared pool in `optimus-parallel`.)
-pub fn resolve_workers(requested: usize) -> usize {
-    pool::resolve_workers(requested)
-}
-
 /// Evaluates every candidate with `eval` across `workers` threads and
 /// reduces to the best feasible schedule.
 ///

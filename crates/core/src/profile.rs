@@ -18,7 +18,7 @@ use optimus_pipeline::{
     dependency_points, interleaved_1f1b, lower, one_f_one_b, simulate_pipeline, zero_bubble_h1,
     Lowered, PipelineSchedule, PipelineSpec, StageSpec,
 };
-use optimus_sim::{SimResult, Stream, TaskKind};
+use optimus_sim::{ExecDag, SimResult, Stream, TaskKind};
 
 use crate::error::OptimusError;
 
@@ -252,10 +252,10 @@ impl LlmProfile {
         let dep = dependency_points(&lowered, &result, n_mb, adjusted)?;
 
         let makespan = result.makespan().0 as Ts;
-        let mut devices = Vec::with_capacity(llm_plan.pp as usize);
-        for d in 0..llm_plan.pp {
-            devices.push(extract_device(&lowered, &result, d, makespan));
-        }
+        let dag = ExecDag::new(&lowered.graph);
+        let devices = (0..llm_plan.pp)
+            .map(|d| extract_device(&dag, &result, d, makespan))
+            .collect();
 
         Ok(LlmProfile {
             llm_plan: *llm_plan,
@@ -280,19 +280,16 @@ impl LlmProfile {
 }
 
 fn extract_device(
-    lowered: &Lowered,
+    dag: &ExecDag<'_>,
     result: &SimResult,
     device: u32,
     makespan: Ts,
 ) -> DeviceProfile {
-    let compute = result.stream_spans(&lowered.graph, device, Stream::Compute);
-    let tp_spans: Vec<(Ts, Ts)> = lowered
-        .graph
-        .tasks()
-        .iter()
-        .filter(|t| t.device == device && t.kind == TaskKind::LlmTpComm)
-        .map(|t| {
-            let s = result.span(t.id);
+    let compute = dag.stream_spans(result, device, Stream::Compute);
+    let tp_spans: Vec<(Ts, Ts)> = (dag.device_tasks(device).iter())
+        .filter(|&&t| dag.graph().task(t).kind == TaskKind::LlmTpComm)
+        .map(|&t| {
+            let s = result.span(t);
             (s.start.0 as Ts, s.end.0 as Ts)
         })
         .collect();

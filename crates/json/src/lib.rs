@@ -122,6 +122,7 @@ impl Json {
     /// Parses a JSON document from text.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -278,6 +279,7 @@ fn write_str(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -428,12 +430,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError("invalid utf-8".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both are
+                    // ASCII, so the run ends on a char boundary of the input.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(
+                        self.text
+                            .get(self.pos..self.pos + run)
+                            .ok_or_else(|| JsonError("invalid utf-8".into()))?,
+                    );
+                    self.pos += run;
                 }
                 None => return err("unterminated string"),
             }
@@ -482,6 +491,52 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let v = Json::parse(r#"{"s": "a\"b\\c\ndA"}"#).unwrap();
         assert_eq!(v.field("s").unwrap().as_str().unwrap(), "a\"b\\c\ndA");
+    }
+
+    #[test]
+    fn parses_multibyte_scalars() {
+        // 2-, 3- and 4-byte UTF-8 scalars, alone and between ASCII runs.
+        for s in ["é", "ab€cd", "𝄞", "x é € 𝄞 y", "ÿ€𝄞ÿ"] {
+            let doc = format!("\"{s}\"");
+            assert_eq!(Json::parse(&doc).unwrap(), Json::from(s), "{s}");
+        }
+    }
+
+    #[test]
+    fn parses_every_escape() {
+        let v = Json::parse(r#""\"\\\/\b\f\n\r\t\u00e9\u20ac""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "\"\\/\u{8}\u{c}\n\r\té€");
+        assert!(Json::parse(r#""\x""#).is_err());
+        assert!(Json::parse(r#""\u12""#).is_err());
+        assert!(Json::parse(r#""\ud800""#).is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn unterminated_strings_are_typed_errors() {
+        for doc in [
+            "\"",
+            "\"abc",
+            "\"é€𝄞",
+            "\"abc\\",
+            "\"abc\\\"",
+            "[\"a",
+            "{\"k",
+        ] {
+            let e = Json::parse(doc).unwrap_err();
+            assert!(!e.0.is_empty(), "{doc}");
+        }
+        assert_eq!(
+            Json::parse("\"abc").unwrap_err(),
+            JsonError("unterminated string".into())
+        );
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = "é".repeat(1 << 20);
+        let doc = format!("[\"{body}\", \"{body}\"]");
+        let v = Json::parse(&doc).unwrap();
+        assert_eq!(v.as_arr().unwrap()[1].as_str().unwrap().len(), 2 << 20);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use optimus_sim::{Stream, TaskGraph, TaskId};
+use optimus_sim::{ExecDag, Stream, TaskGraph, TaskId};
 
 use crate::diag::{DiagCode, Diagnostic, Witness};
 
@@ -96,12 +96,9 @@ impl CollectiveSpec {
             dp.entry(t.device)
                 .or_insert_with(|| CommRank::new(format!("device {}", t.device), Vec::new()));
         }
-        for ((dev, stream), queue) in g.stream_queues() {
-            if stream != Stream::DpComm {
-                continue;
-            }
-            let rank = dp.get_mut(&dev).expect("queued device is active");
-            for id in queue {
+        let dag = ExecDag::new(g);
+        for (&dev, rank) in &mut dp {
+            for &id in dag.queue(dev, Stream::DpComm) {
                 rank.push(g.task(id).label.to_string(), Some(id));
             }
         }
@@ -124,21 +121,12 @@ impl CollectiveSpec {
     /// A transfer with no cross-device producer is a receive with no
     /// matching send — it forms its own group that always diverges.
     pub fn enc_p2p_from_graph(g: &TaskGraph) -> CollectiveSpec {
-        // Queue position of every task within its (device, stream) FIFO.
-        let mut qpos = vec![0usize; g.len()];
-        for (_, queue) in g.stream_queues() {
-            for (i, &id) in queue.iter().enumerate() {
-                qpos[id.index()] = i;
-            }
-        }
+        let dag = ExecDag::new(g);
         let mut groups = Vec::new();
-        for ((dst, stream), queue) in g.stream_queues() {
-            if stream != Stream::EncP2p {
-                continue;
-            }
+        for dst in 0..g.num_devices() {
             // Per-channel events in receive order.
             let mut channels: BTreeMap<(u32, usize), ChannelEvents> = BTreeMap::new();
-            for &tr in &queue {
+            for &tr in dag.queue(dst, Stream::EncP2p) {
                 let task = g.task(tr);
                 let mut matched = false;
                 for &dep in &task.deps {
@@ -150,7 +138,7 @@ impl CollectiveSpec {
                     channels
                         .entry((p.device, p.stream.index()))
                         .or_default()
-                        .push((qpos[dep.index()], dep, tr));
+                        .push((dag.position(dep), dep, tr));
                 }
                 if !matched {
                     let mut recv = CommRank::new(format!("device {dst} recv side"), Vec::new());

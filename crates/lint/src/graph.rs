@@ -7,10 +7,12 @@
 //! implicit per-`(device, stream)` FIFO edges the CUDA-stream execution
 //! model adds between queue neighbours: a cycle that only closes through
 //! FIFO edges is exactly the situation where `optimus_sim::simulate` would
-//! report a deadlock — queue order contradicts dependency order. Witnesses
-//! are minimal: the shortest cycle through any stuck node, found by BFS.
+//! report a deadlock — queue order contradicts dependency order. Both stuck
+//! sets are residues of `optimus_sim::ExecDag`'s Kahn pass, the one the
+//! engine runs. Witnesses are minimal: the shortest cycle through any stuck
+//! node, found by BFS.
 
-use optimus_sim::{Stream, TaskGraph, TaskId};
+use optimus_sim::{ExecDag, TaskGraph, TaskId};
 
 use crate::diag::{DiagCode, Diagnostic, Witness};
 
@@ -30,77 +32,37 @@ enum EdgeKind {
     Fifo,
 }
 
-struct UnionGraph {
-    /// Adjacency: `succ[u]` lists `(v, kind)` edges `u → v` ("v waits for u").
-    succ: Vec<Vec<(u32, EdgeKind)>>,
-}
-
-fn dep_adjacency(g: &TaskGraph) -> Vec<Vec<(u32, EdgeKind)>> {
-    let mut succ = vec![Vec::new(); g.len()];
-    for (dep, task) in g.dep_edges() {
-        succ[dep.index()].push((task.0, EdgeKind::Dep));
-    }
-    succ
-}
-
-fn union_graph(g: &TaskGraph) -> UnionGraph {
-    let mut succ = dep_adjacency(g);
-    for ((_dev, _stream), queue) in g.stream_queues() {
-        for pair in queue.windows(2) {
-            succ[pair[0].index()].push((pair[1].0, EdgeKind::Fifo));
-        }
-    }
-    UnionGraph { succ }
-}
-
-/// Kahn's algorithm; returns the set of nodes left on a cycle (empty when
-/// acyclic).
-fn residual_nodes(succ: &[Vec<(u32, EdgeKind)>]) -> Vec<u32> {
-    let n = succ.len();
-    let mut indeg = vec![0usize; n];
-    for edges in succ {
-        for &(v, _) in edges {
-            indeg[v as usize] += 1;
-        }
-    }
-    let mut stack: Vec<u32> = (0..n as u32).filter(|&u| indeg[u as usize] == 0).collect();
-    let mut seen = 0usize;
-    while let Some(u) = stack.pop() {
-        seen += 1;
-        for &(v, _) in &succ[u as usize] {
-            indeg[v as usize] -= 1;
-            if indeg[v as usize] == 0 {
-                stack.push(v);
-            }
-        }
-    }
-    if seen == n {
-        Vec::new()
-    } else {
-        (0..n as u32).filter(|&u| indeg[u as usize] > 0).collect()
-    }
+/// Out-edges of `u`: dependency successors, then (when `fifo`) the FIFO
+/// successor.
+fn out_edges<'a>(
+    dag: &'a ExecDag<'_>,
+    u: TaskId,
+    fifo: bool,
+) -> impl Iterator<Item = (TaskId, EdgeKind)> + 'a {
+    let next = dag.fifo_next(u).filter(|_| fifo);
+    (dag.successors(u).iter().map(|&v| (v, EdgeKind::Dep))).chain(next.map(|v| (v, EdgeKind::Fifo)))
 }
 
 /// Shortest cycle through any of (a bounded sample of) the stuck nodes:
 /// BFS from each seed until the seed is reached again. Returns the cycle as
 /// `(node, kind-of-edge-leaving-it)` pairs.
-fn minimal_cycle(succ: &[Vec<(u32, EdgeKind)>], stuck: &[u32]) -> Vec<(u32, EdgeKind)> {
+fn minimal_cycle(dag: &ExecDag<'_>, fifo: bool, stuck: &[TaskId]) -> Vec<(TaskId, EdgeKind)> {
     const MAX_SEEDS: usize = 16;
-    let n = succ.len();
-    let mut best: Vec<(u32, EdgeKind)> = Vec::new();
+    let n = dag.graph().len();
+    let mut best: Vec<(TaskId, EdgeKind)> = Vec::new();
     for &seed in stuck.iter().take(MAX_SEEDS) {
-        let mut parent: Vec<Option<(u32, EdgeKind)>> = vec![None; n];
+        let mut parent: Vec<Option<(TaskId, EdgeKind)>> = vec![None; n];
         let mut queue = std::collections::VecDeque::from([seed]);
         let mut found = false;
         'bfs: while let Some(u) = queue.pop_front() {
-            for &(v, kind) in &succ[u as usize] {
+            for (v, kind) in out_edges(dag, u, fifo) {
                 if v == seed {
-                    parent[seed as usize] = Some((u, kind));
+                    parent[seed.index()] = Some((u, kind));
                     found = true;
                     break 'bfs;
                 }
-                if parent[v as usize].is_none() {
-                    parent[v as usize] = Some((u, kind));
+                if parent[v.index()].is_none() {
+                    parent[v.index()] = Some((u, kind));
                     queue.push_back(v);
                 }
             }
@@ -110,10 +72,10 @@ fn minimal_cycle(succ: &[Vec<(u32, EdgeKind)>], stuck: &[u32]) -> Vec<(u32, Edge
         }
         // Walk parents back from the seed to recover the cycle.
         let mut cycle = Vec::new();
-        let (mut node, mut kind) = parent[seed as usize].expect("cycle found");
+        let (mut node, mut kind) = parent[seed.index()].expect("cycle found");
         cycle.push((node, kind));
         while node != seed {
-            let (p, k) = parent[node as usize].expect("on BFS tree");
+            let (p, k) = parent[node.index()].expect("on BFS tree");
             node = p;
             kind = k;
             cycle.push((node, kind));
@@ -128,13 +90,12 @@ fn minimal_cycle(succ: &[Vec<(u32, EdgeKind)>], stuck: &[u32]) -> Vec<(u32, Edge
 
 fn cycle_witness(
     g: &TaskGraph,
-    cycle: &[(u32, EdgeKind)],
+    cycle: &[(TaskId, EdgeKind)],
     name: &dyn Fn(TaskId) -> String,
 ) -> Vec<Witness> {
     cycle
         .iter()
-        .map(|&(u, kind)| {
-            let id = TaskId(u);
+        .map(|&(id, kind)| {
             let t = g.task(id);
             let via = match kind {
                 EdgeKind::Dep => "dependency edge".to_string(),
@@ -154,11 +115,16 @@ pub(crate) fn check_graph(g: &TaskGraph, name: &dyn Fn(TaskId) -> String) -> Vec
         return out;
     }
 
-    // OPT001: dependency-only cycle.
-    let dep_succ = dep_adjacency(g);
-    let dep_stuck = residual_nodes(&dep_succ);
+    // OPT001: dependency-only cycle. Only a graph that cannot run can have
+    // one: the union residue is empty otherwise.
+    let dag = ExecDag::new(g);
+    let dep_stuck = if dag.stuck().is_empty() {
+        Vec::new()
+    } else {
+        dag.dependency_stuck()
+    };
     if !dep_stuck.is_empty() {
-        let cycle = minimal_cycle(&dep_succ, &dep_stuck);
+        let cycle = minimal_cycle(&dag, false, &dep_stuck);
         out.push(Diagnostic::new(
             DiagCode::Cycle,
             format!(
@@ -174,10 +140,9 @@ pub(crate) fn check_graph(g: &TaskGraph, name: &dyn Fn(TaskId) -> String) -> Vec
     }
 
     // OPT002: union (dependency + stream-FIFO) cycle.
-    let union = union_graph(g);
-    let stuck = residual_nodes(&union.succ);
+    let stuck = dag.stuck();
     if !stuck.is_empty() {
-        let cycle = minimal_cycle(&union.succ, &stuck);
+        let cycle = minimal_cycle(&dag, true, stuck);
         let fifo_edges = cycle.iter().filter(|(_, k)| *k == EdgeKind::Fifo).count();
         out.push(Diagnostic::new(
             DiagCode::StreamFifoInversion,
@@ -195,19 +160,9 @@ pub(crate) fn check_graph(g: &TaskGraph, name: &dyn Fn(TaskId) -> String) -> Vec
     // OPT006: orphan tasks — no dependency edges at all, alone on their
     // stream queue, in a graph that otherwise has structure.
     if g.len() > 1 {
-        let mut has_dependent = vec![false; g.len()];
-        for (dep, _task) in g.dep_edges() {
-            has_dependent[dep.index()] = true;
-        }
-        let mut queue_len = std::collections::HashMap::new();
-        for ((dev, stream), queue) in g.stream_queues() {
-            queue_len.insert((dev, stream), queue.len());
-        }
         for t in g.tasks() {
-            let alone = queue_len
-                .get(&(t.device, t.stream))
-                .is_some_and(|&l| l == 1);
-            if t.deps.is_empty() && !has_dependent[t.id.index()] && alone {
+            let alone = dag.queue(t.device, t.stream).len() == 1;
+            if t.deps.is_empty() && dag.successors(t.id).is_empty() && alone {
                 out.push(Diagnostic::new(
                     DiagCode::OrphanTask,
                     format!(
@@ -223,18 +178,13 @@ pub(crate) fn check_graph(g: &TaskGraph, name: &dyn Fn(TaskId) -> String) -> Vec
     out
 }
 
-// `Stream` is used in the public docs above; silence the unused warning in
-// builds where no code path names it.
-#[allow(unused_imports)]
-use Stream as _StreamDoc;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::diag::DiagCode;
     use crate::lint_graph;
     use optimus_cluster::DurNs;
-    use optimus_sim::TaskKind;
+    use optimus_sim::{Stream, TaskKind};
 
     fn push(g: &mut TaskGraph, dev: u32, stream: Stream, deps: Vec<TaskId>) -> TaskId {
         g.push("t", dev, stream, DurNs(10), TaskKind::Generic, deps)

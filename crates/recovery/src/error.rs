@@ -10,7 +10,7 @@ pub enum RecoveryError {
     Invalid(String),
     /// The planner/scheduler failed while pricing a degraded configuration.
     Plan(String),
-    /// The discrete-event engine rejected the lowered recovery timeline.
+    /// The simulator rejected the lowered recovery timeline.
     Sim(String),
     /// The combined bubble claims (encoder inserts + checkpoint shards)
     /// failed static analysis — the placement itself is unsound.

@@ -16,7 +16,7 @@
 //!    multi-failure traces (seeded, or derived from
 //!    [`optimus_faults::FaultModel`] scenarios) drive an integer-ns
 //!    lifecycle walk: detection, restart, checkpoint restore, rollback,
-//!    replay — cross-checked against the discrete-event engine.
+//!    replay — cross-checked against the simulator.
 //! 3. **Elastic degraded modes** ([`elastic`]) — on a permanent device
 //!    loss, shrink-DP and drop-a-pipeline-replica configurations are priced
 //!    by re-running the Optimus planner on the shrunken cluster, and the

@@ -12,7 +12,7 @@
 //!
 //! Every wall-clock advance is a [`Segment`], so the timeline is gapless:
 //! `wall == useful + lost.total()` holds exactly, and lowering the segments
-//! to a task graph and running the discrete-event engine reproduces the
+//! to a task graph and simulating it reproduces the
 //! analytic wall bit-for-bit ([`engine_check`]).
 
 use optimus_cluster::DurNs;
@@ -451,7 +451,7 @@ pub fn lower_timeline(outcome: &RecoveryOutcome, num_ranks: u32) -> TaskGraph {
     g
 }
 
-/// Cross-checks the analytic timeline against the discrete-event engine:
+/// Cross-checks the analytic timeline against the simulator:
 /// lowers the segments to a barrier task graph, simulates it, and requires
 /// the engine's makespan to equal the analytic wall exactly.
 pub fn engine_check(outcome: &RecoveryOutcome, num_ranks: u32) -> Result<(), RecoveryError> {

@@ -7,19 +7,24 @@
 
 use optimus_cluster::{DurNs, TimeNs};
 
+use crate::dag::ExecDag;
 use crate::engine::SimResult;
 use crate::task::{Stream, TaskGraph, TaskId};
 
 /// Fraction of the makespan each device's compute stream is busy.
 pub fn compute_utilization(graph: &TaskGraph, result: &SimResult, device: u32) -> f64 {
+    utilization(&ExecDag::new(graph), result, device)
+}
+
+fn utilization(dag: &ExecDag<'_>, result: &SimResult, device: u32) -> f64 {
     let total = result.makespan().as_secs_f64();
     if total == 0.0 {
         return 0.0;
     }
-    result
-        .busy_time(graph, device, Stream::Compute)
-        .as_secs_f64()
-        / total
+    let busy: DurNs = (dag.stream_spans(result, device, Stream::Compute).iter())
+        .map(|s| s.duration())
+        .sum();
+    busy.as_secs_f64() / total
 }
 
 /// Mean compute utilization over all devices.
@@ -28,68 +33,49 @@ pub fn mean_compute_utilization(graph: &TaskGraph, result: &SimResult) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    (0..n)
-        .map(|d| compute_utilization(graph, result, d))
-        .sum::<f64>()
-        / n as f64
+    let dag = ExecDag::new(graph);
+    (0..n).map(|d| utilization(&dag, result, d)).sum::<f64>() / n as f64
 }
 
 /// Latest start time of every task such that the makespan is unchanged.
 ///
 /// Successor edges are (a) explicit dependencies and (b) FIFO order on each
-/// `(device, stream)` resource. Tasks are processed in reverse execution
-/// order, which is a valid reverse-topological order because every edge goes
-/// forward in simulated time.
+/// `(device, stream)` resource; tasks are visited in reverse topological
+/// order of the [`ExecDag`].
 pub fn latest_start_times(graph: &TaskGraph, result: &SimResult) -> Vec<TimeNs> {
-    let n = graph.len();
+    latest_starts(&ExecDag::new(graph), result)
+}
+
+/// The backward pass: a task's latest finish is the earliest latest start
+/// among its successors, or the makespan.
+fn latest_starts(dag: &ExecDag<'_>, result: &SimResult) -> Vec<TimeNs> {
     let makespan = result.makespan();
-
-    // latest finish initialised to the makespan.
-    let mut latest_finish = vec![makespan; n];
-
-    // Build successor lists: dependency successors...
-    let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-    for t in graph.tasks() {
-        for &d in &t.deps {
-            succs[d.index()].push(t.id);
-        }
-    }
-    // ...and FIFO-order successors per resource.
-    for device in 0..graph.num_devices() {
-        for stream in Stream::ALL {
-            let spans = result.stream_spans(graph, device, stream);
-            for w in spans.windows(2) {
-                succs[w[0].task.index()].push(w[1].task);
-            }
-        }
-    }
-
-    // Reverse execution order (by start time, descending; ties by id).
-    let mut order: Vec<TaskId> = graph.tasks().iter().map(|t| t.id).collect();
-    order.sort_by_key(|&id| {
-        let s = result.span(id);
-        (std::cmp::Reverse(s.start), std::cmp::Reverse(id))
-    });
-
-    let mut latest_start = vec![makespan; n];
-    for id in order {
-        let i = id.index();
-        let dur = graph.task(id).duration;
-        for &s in &succs[i] {
-            latest_finish[i] = latest_finish[i].min(latest_start[s.index()]);
-        }
-        latest_start[i] = latest_finish[i] - dur;
+    let mut latest_start = vec![makespan; dag.graph().len()];
+    for &id in dag.topo_order().iter().rev() {
+        let next = dag.fifo_next(id);
+        let finish = (dag.successors(id).iter().chain(next.as_ref()))
+            .fold(makespan, |f, s| f.min(latest_start[s.index()]));
+        latest_start[id.index()] = finish - dag.graph().task(id).duration;
     }
     latest_start
+}
+
+fn slack_of(dag: &ExecDag<'_>, result: &SimResult) -> Vec<DurNs> {
+    let ls = latest_starts(dag, result);
+    (dag.graph().tasks().iter())
+        .map(|t| ls[t.id.index()].since(result.span(t.id).start))
+        .collect()
 }
 
 /// Extracts one critical path: a chain of zero-slack tasks from a step-start
 /// task to a step-end task, following dependency and FIFO edges. Useful for
 /// diagnosing what bounds a training step.
 pub fn critical_path(graph: &TaskGraph, result: &SimResult) -> Vec<TaskId> {
-    let sl = slack(graph, result);
+    let dag = ExecDag::new(graph);
+    let sl = slack_of(&dag, result);
     // Start from the zero-slack task that finishes last (ties: smallest id),
-    // then walk backwards through zero-slack predecessors that abut in time.
+    // then walk backwards through zero-slack predecessors that abut in time:
+    // explicit deps first, then the FIFO predecessor.
     let mut current = graph
         .tasks()
         .iter()
@@ -97,25 +83,12 @@ pub fn critical_path(graph: &TaskGraph, result: &SimResult) -> Vec<TaskId> {
         .max_by_key(|t| (result.span(t.id).end, std::cmp::Reverse(t.id)))
         .map(|t| t.id);
     let mut path = Vec::new();
-    // Predecessor candidates: explicit deps + FIFO predecessor on the
-    // resource.
-    let fifo_pred = |id: TaskId| -> Option<TaskId> {
-        let t = graph.task(id);
-        let spans = result.stream_spans(graph, t.device, t.stream);
-        let pos = spans.iter().position(|s| s.task == id)?;
-        pos.checked_sub(1).map(|p| spans[p].task)
-    };
     while let Some(id) = current {
         path.push(id);
         let start = result.span(id).start;
-        let mut next = None;
-        for cand in graph.task(id).deps.iter().copied().chain(fifo_pred(id)) {
-            if sl[cand.index()].is_zero() && result.span(cand).end == start {
-                next = Some(cand);
-                break;
-            }
-        }
-        current = next;
+        current = (graph.task(id).deps.iter().copied())
+            .chain(dag.fifo_pred(id))
+            .find(|&c| sl[c.index()].is_zero() && result.span(c).end == start);
     }
     path.reverse();
     path
@@ -123,12 +96,7 @@ pub fn critical_path(graph: &TaskGraph, result: &SimResult) -> Vec<TaskId> {
 
 /// Slack of one task: latest start minus actual start.
 pub fn slack(graph: &TaskGraph, result: &SimResult) -> Vec<DurNs> {
-    let ls = latest_start_times(graph, result);
-    graph
-        .tasks()
-        .iter()
-        .map(|t| ls[t.id.index()].since(result.span(t.id).start))
-        .collect()
+    slack_of(&ExecDag::new(graph), result)
 }
 
 #[cfg(test)]
@@ -316,6 +284,33 @@ mod tests {
         let r = simulate(&g).unwrap();
         let path = crate::analysis::critical_path(&g, &r);
         assert_eq!(path, vec![a, b, c]);
+    }
+
+    #[test]
+    fn zero_duration_task_behind_a_late_edge_has_bounded_slack() {
+        // k waits for c through a late edge; both start at 0 and c takes no
+        // time, so c's latest start is k's: 90.
+        let mut g = TaskGraph::new(2);
+        let k = g.push(
+            "k",
+            0,
+            Stream::Compute,
+            DurNs(10),
+            TaskKind::Generic,
+            vec![],
+        );
+        let c = g.push("c", 1, Stream::TpComm, DurNs(0), TaskKind::Generic, vec![]);
+        g.add_dep(k, c);
+        g.push(
+            "long",
+            1,
+            Stream::Compute,
+            DurNs(100),
+            TaskKind::Generic,
+            vec![],
+        );
+        let r = simulate(&g).unwrap();
+        assert_eq!(slack(&g, &r)[c.index()], DurNs(90));
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! The discrete-event execution engine.
+//! The execution engine: one longest-path pass over the [`ExecDag`].
 //!
 //! Executes a [`TaskGraph`] under CUDA-stream semantics: each
-//! `(device, stream)` pair is a FIFO resource; its head task starts as soon
-//! as the resource is free *and* every dependency has completed. The engine
-//! is event-driven and deterministic: ties are broken by resource index, so
-//! identical graphs always produce identical timelines.
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+//! `(device, stream)` pair is a non-preemptive FIFO, so a task starts at
+//! the later of its queue predecessor's end and its dependencies' ends.
+//! [`simulate`] evaluates that recurrence once per task in the DAG's
+//! topological order; the result is deterministic by construction.
 
 use optimus_cluster::{DurNs, TimeNs};
 
+use crate::dag::ExecDag;
 use crate::error::SimError;
 use crate::task::{Stream, TaskGraph, TaskId};
 
@@ -64,16 +62,9 @@ impl SimResult {
     }
 
     /// Spans of all tasks on one `(device, stream)` resource, sorted by
-    /// start time.
+    /// start time (queue order: each queue is FIFO).
     pub fn stream_spans(&self, graph: &TaskGraph, device: u32, stream: Stream) -> Vec<TaskSpan> {
-        let mut v: Vec<TaskSpan> = graph
-            .tasks()
-            .iter()
-            .filter(|t| t.device == device && t.stream == stream)
-            .map(|t| self.spans[t.id.index()])
-            .collect();
-        v.sort_by_key(|s| (s.start, s.end));
-        v
+        ExecDag::new(graph).stream_spans(self, device, stream)
     }
 
     /// Total busy time of one resource.
@@ -85,81 +76,9 @@ impl SimResult {
     }
 }
 
-fn resource_index(device: u32, stream: Stream) -> usize {
-    device as usize * Stream::COUNT + stream.index()
-}
-
-struct EngineState<'g> {
-    graph: &'g TaskGraph,
-    queues: Vec<Vec<TaskId>>,
-    cursor: Vec<usize>,
-    free_at: Vec<TimeNs>,
-    running: Vec<bool>,
-    done: Vec<bool>,
-    spans: Vec<TaskSpan>,
-    waiters: HashMap<TaskId, Vec<usize>>,
-    events: BinaryHeap<Reverse<(TimeNs, usize, TaskId)>>,
-}
-
-impl<'g> EngineState<'g> {
-    fn new(graph: &'g TaskGraph) -> EngineState<'g> {
-        let n_res = graph.num_devices() as usize * Stream::COUNT;
-        let mut queues: Vec<Vec<TaskId>> = vec![Vec::new(); n_res];
-        for t in graph.tasks() {
-            queues[resource_index(t.device, t.stream)].push(t.id);
-        }
-        EngineState {
-            graph,
-            queues,
-            cursor: vec![0; n_res],
-            free_at: vec![TimeNs::ZERO; n_res],
-            running: vec![false; n_res],
-            done: vec![false; graph.len()],
-            spans: vec![
-                TaskSpan {
-                    task: TaskId(0),
-                    start: TimeNs::ZERO,
-                    end: TimeNs::ZERO
-                };
-                graph.len()
-            ],
-            waiters: HashMap::new(),
-            events: BinaryHeap::new(),
-        }
-    }
-
-    /// Starts the head task of resource `r` if the resource is free and all
-    /// dependencies are met; otherwise registers a waiter on the first unmet
-    /// dependency.
-    fn attempt_start(&mut self, r: usize, now: TimeNs) {
-        if self.running[r] {
-            return;
-        }
-        let Some(&head) = self.queues[r].get(self.cursor[r]) else {
-            return;
-        };
-        let task = self.graph.task(head);
-        if let Some(&unmet) = task.deps.iter().find(|d| !self.done[d.index()]) {
-            let entry = self.waiters.entry(unmet).or_default();
-            if !entry.contains(&r) {
-                entry.push(r);
-            }
-            return;
-        }
-        let start = now.max(self.free_at[r]);
-        let end = start + task.duration;
-        self.spans[head.index()] = TaskSpan {
-            task: head,
-            start,
-            end,
-        };
-        self.free_at[r] = end;
-        self.running[r] = true;
-        self.events.push(Reverse((end, r, head)));
-    }
-}
-
-/// Executes the graph; returns per-task spans and the makespan.
+/// Executes the graph; returns per-task spans and the makespan. This is
+/// the [`ExecDag`]'s forward pass: every task, in topological order, starts
+/// at the later of its queue predecessor's end and its dependencies' ends.
 ///
 /// # Errors
 ///
@@ -167,41 +86,35 @@ impl<'g> EngineState<'g> {
 /// inconsistent with the dependency structure — the schedule being lowered
 /// would hang on real hardware too.
 pub fn simulate(graph: &TaskGraph) -> Result<SimResult, SimError> {
-    let mut st = EngineState::new(graph);
-    let n_res = st.queues.len();
-    for r in 0..n_res {
-        st.attempt_start(r, TimeNs::ZERO);
+    let dag = ExecDag::new(graph);
+    if let Some(&first) = dag.stuck().first() {
+        return Err(SimError::Deadlock {
+            stuck: dag.stuck().to_vec(),
+            first_label: graph.task(first).label,
+        });
     }
-
+    let zero = TaskSpan {
+        task: TaskId(0),
+        start: TimeNs::ZERO,
+        end: TimeNs::ZERO,
+    };
+    let mut spans = vec![zero; graph.len()];
     let mut makespan = TimeNs::ZERO;
-    let mut executed = 0usize;
-    while let Some(Reverse((now, r, task))) = st.events.pop() {
-        st.done[task.index()] = true;
-        executed += 1;
-        makespan = makespan.max(now);
-        st.running[r] = false;
-        st.cursor[r] += 1;
-        st.attempt_start(r, now);
-        if let Some(blocked) = st.waiters.remove(&task) {
-            for br in blocked {
-                st.attempt_start(br, now);
-            }
-        }
+    for &id in dag.topo_order() {
+        let task = graph.task(id);
+        let ready = dag
+            .fifo_pred(id)
+            .map_or(TimeNs::ZERO, |p| spans[p.index()].end);
+        let start = (task.deps.iter()).fold(ready, |t, d| t.max(spans[d.index()].end));
+        let end = start + task.duration;
+        spans[id.index()] = TaskSpan {
+            task: id,
+            start,
+            end,
+        };
+        makespan = makespan.max(end);
     }
-
-    if executed != graph.len() {
-        let stuck: Vec<TaskId> = (0..graph.len())
-            .filter(|&i| !st.done[i])
-            .map(|i| TaskId(i as u32))
-            .collect();
-        let first_label = graph.task(stuck[0]).label;
-        return Err(SimError::Deadlock { stuck, first_label });
-    }
-
-    Ok(SimResult {
-        spans: st.spans,
-        makespan,
-    })
+    Ok(SimResult { spans, makespan })
 }
 
 #[cfg(test)]

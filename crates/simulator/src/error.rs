@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::task::TaskId;
 
-/// Errors produced by the discrete-event engine.
+/// Errors produced by the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The schedule deadlocked: some tasks can never start because a stream's

@@ -4,7 +4,7 @@
 //! of one (PP stage) equivalence class replays the same per-stream task
 //! pattern with the same durations, so simulating all of them walks the
 //! same timeline `tp × dp` times over. Folded simulation executes the
-//! discrete-event engine over one representative device per class and
+//! engine over one representative device per class and
 //! replicates the representative's spans to every class member, producing a
 //! full-size [`SimResult`] that is bit-identical to [`simulate`] on the
 //! whole graph — *provided the fold plan is sound*.

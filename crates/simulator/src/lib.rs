@@ -1,11 +1,12 @@
-//! Deterministic discrete-event simulator for distributed training steps.
+//! Deterministic simulator for distributed training steps.
 //!
 //! This crate is the stand-in for the paper's production cluster + CUDA
 //! profiler: pipeline schedules are lowered to [`TaskGraph`]s whose tasks
 //! occupy per-device streams (compute, TP collectives, P2P, DP collectives)
-//! under FIFO semantics; [`simulate`] executes them and the [`bubble`] module
-//! extracts and classifies the idle gaps exactly as the paper's Table 1 does
-//! from profiled timelines.
+//! under FIFO semantics; [`ExecDag`] indexes their queues and edges once,
+//! [`simulate`] executes them in one longest-path pass, and the [`bubble`]
+//! module extracts and classifies the idle gaps exactly as the paper's
+//! Table 1 does from profiled timelines.
 //!
 //! # Examples
 //!
@@ -26,6 +27,7 @@
 
 pub mod analysis;
 pub mod bubble;
+pub mod dag;
 pub mod engine;
 pub mod error;
 pub mod fold;
@@ -35,6 +37,7 @@ pub use analysis::{
     compute_utilization, critical_path, latest_start_times, mean_compute_utilization, slack,
 };
 pub use bubble::{all_bubbles, device_bubbles, Bubble, BubbleBreakdown, BubbleKind};
+pub use dag::ExecDag;
 pub use engine::{simulate, SimResult, TaskSpan};
 pub use error::SimError;
 pub use fold::{simulate_folded, FoldPlan, FoldStats};

@@ -1,4 +1,4 @@
-//! Task graphs: the unit of work the discrete-event engine executes.
+//! Task graphs: the unit of work the engine executes.
 //!
 //! A task occupies one *stream* of one simulated device for a fixed duration,
 //! starting only after all its dependencies have completed and all earlier
@@ -264,18 +264,8 @@ impl TaskGraph {
     /// Only non-empty queues are returned; pairs are sorted by device then
     /// stream index so iteration order is deterministic.
     pub fn stream_queues(&self) -> Vec<((u32, Stream), Vec<TaskId>)> {
-        let mut queues: std::collections::BTreeMap<(u32, usize), Vec<TaskId>> =
-            std::collections::BTreeMap::new();
-        for t in &self.tasks {
-            queues
-                .entry((t.device, t.stream.index()))
-                .or_default()
-                .push(t.id);
-        }
-        queues
-            .into_iter()
-            .map(|((dev, si), q)| ((dev, Stream::ALL[si]), q))
-            .collect()
+        let dag = crate::dag::ExecDag::new(self);
+        dag.queues().map(|(key, q)| (key, q.to_vec())).collect()
     }
 
     /// Removes a dependency edge, returning whether it was present. Exists

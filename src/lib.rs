@@ -2,8 +2,8 @@
 //!
 //! A full reproduction of *"Optimus: Accelerating Large-Scale Multi-Modal
 //! LLM Training by Bubble Exploitation"* in Rust, built on a deterministic
-//! discrete-event simulation of 3D-parallel training (the substitution for
-//! the paper's production GPU cluster — see `DESIGN.md`).
+//! simulation of 3D-parallel training (the substitution for the paper's
+//! production GPU cluster — see `DESIGN.md`).
 //!
 //! This facade crate re-exports the workspace members:
 //!
@@ -12,7 +12,8 @@
 //!   kernel decomposition, memory accounting, workloads;
 //! * [`parallel`] — 3D plans, enumeration, colocation layout, microbatch
 //!   partitioning;
-//! * [`sim`] — the discrete-event engine and bubble classification;
+//! * [`sim`] — the execution DAG, its one-pass engine, and bubble
+//!   classification;
 //! * [`pipeline`] — 1F1B / interleaved-1F1B / GPipe schedules, task-graph
 //!   lowering, dependency points, the Appendix B balanced partitioner;
 //! * [`baselines`] — Megatron-LM, Megatron-LM balanced, FSDP, Alpa-like;

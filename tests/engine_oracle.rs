@@ -10,6 +10,11 @@
 //! and makespan, an equal `SimError::Deadlock { stuck, first_label }`, equal
 //! latest starts, slack and critical path, and equal per-stream queues and
 //! spans.
+//!
+//! One exception is a defect of the original analysis: its reverse
+//! start-time order is not topological when a zero-duration task starts
+//! together with a lower-id successor, and there it overstates slack. On
+//! those inputs latest starts are checked against their defining recurrence.
 
 use optimus::baselines::common::SystemContext;
 use optimus::baselines::{megatron_balanced, megatron_lm};
@@ -169,12 +174,9 @@ mod oracle {
         v
     }
 
-    /// Latest starts over successor lists, in reverse start-time order.
-    pub fn latest_start_times(graph: &TaskGraph, result: &SimResult) -> Vec<TimeNs> {
-        let n = graph.len();
-        let makespan = result.makespan();
-        let mut latest_finish = vec![makespan; n];
-        let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+    /// Dependency successors, then FIFO successors by start order.
+    pub fn successors(graph: &TaskGraph, result: &SimResult) -> Vec<Vec<TaskId>> {
+        let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); graph.len()];
         for t in graph.tasks() {
             for &d in &t.deps {
                 succs[d.index()].push(t.id);
@@ -188,11 +190,34 @@ mod oracle {
                 }
             }
         }
+        succs
+    }
+
+    /// The visit key of `latest_start_times`, visited in descending order.
+    fn visit_key(result: &SimResult, id: TaskId) -> (TimeNs, TaskId) {
+        (result.span(id).start, id)
+    }
+
+    /// Whether reverse start-time order visits every successor before its
+    /// predecessor — false when a zero-duration task starts together with a
+    /// lower-id successor, where `latest_start_times` below reads a latest
+    /// start it has not computed yet.
+    pub fn visit_order_is_topological(graph: &TaskGraph, result: &SimResult) -> bool {
+        let succs = successors(graph, result);
+        (0..graph.len()).all(|u| {
+            let key = visit_key(result, TaskId(u as u32));
+            succs[u].iter().all(|&v| visit_key(result, v) > key)
+        })
+    }
+
+    /// Latest starts over successor lists, in reverse start-time order.
+    pub fn latest_start_times(graph: &TaskGraph, result: &SimResult) -> Vec<TimeNs> {
+        let n = graph.len();
+        let makespan = result.makespan();
+        let mut latest_finish = vec![makespan; n];
+        let succs = successors(graph, result);
         let mut order: Vec<TaskId> = graph.tasks().iter().map(|t| t.id).collect();
-        order.sort_by_key(|&id| {
-            let s = result.span(id);
-            (Reverse(s.start), Reverse(id))
-        });
+        order.sort_by_key(|&id| Reverse(visit_key(result, id)));
         let mut latest_start = vec![makespan; n];
         for id in order {
             let i = id.index();
@@ -248,9 +273,22 @@ mod oracle {
     }
 }
 
+/// What [`check`] could compare.
+#[derive(Debug, PartialEq, Eq)]
+enum Checked {
+    /// The graph ran and every output equals the oracles'.
+    Equal,
+    /// The graph ran with equal spans, but the oracle's latest-start visit
+    /// order is not topological (a zero-duration task starts together with
+    /// a lower-id successor), so latest starts were checked against their
+    /// defining recurrence instead.
+    EqualSpans,
+    /// Both deadlocked with equal reports.
+    Deadlock,
+}
+
 /// Runs the library and the oracles on one graph and asserts they agree.
-/// Returns whether the graph deadlocked.
-fn check(name: &str, g: &TaskGraph) -> bool {
+fn check(name: &str, g: &TaskGraph) -> Checked {
     assert_eq!(
         g.stream_queues(),
         oracle::stream_queues(g),
@@ -261,7 +299,7 @@ fn check(name: &str, g: &TaskGraph) -> bool {
         (Err(w), Err(o)) => {
             assert_eq!(o, w, "{name}: deadlock report");
             assert!(matches!(o, SimError::Deadlock { .. }), "{name}: {o}");
-            return true;
+            return Checked::Deadlock;
         }
         (Ok(w), Ok(o)) => (w, o),
         (w, o) => panic!("{name}: oracle {w:?} vs engine {o:?}"),
@@ -277,18 +315,32 @@ fn check(name: &str, g: &TaskGraph) -> bool {
             );
         }
     }
-    assert_eq!(
-        latest_start_times(g, &got),
-        oracle::latest_start_times(g, &want),
-        "{name}: latest starts"
-    );
-    assert_eq!(slack(g, &got), oracle::slack(g, &want), "{name}: slack");
-    assert_eq!(
-        critical_path(g, &got),
-        oracle::critical_path(g, &want),
-        "{name}: critical path"
-    );
-    false
+    let ls = latest_start_times(g, &got);
+    if oracle::visit_order_is_topological(g, &want) {
+        assert_eq!(
+            ls,
+            oracle::latest_start_times(g, &want),
+            "{name}: latest starts"
+        );
+        assert_eq!(slack(g, &got), oracle::slack(g, &want), "{name}: slack");
+        assert_eq!(
+            critical_path(g, &got),
+            oracle::critical_path(g, &want),
+            "{name}: critical path"
+        );
+        Checked::Equal
+    } else {
+        // The oracle's visit order is wrong here; check the recurrence that
+        // defines latest starts instead.
+        let succs = oracle::successors(g, &want);
+        for t in g.tasks() {
+            let finish = (succs[t.id.index()].iter())
+                .map(|s| ls[s.index()])
+                .fold(got.makespan(), TimeNs::min);
+            assert_eq!(ls[t.id.index()], finish - t.duration, "{name}: {:?}", t.id);
+        }
+        Checked::EqualSpans
+    }
 }
 
 fn small_workload() -> Workload {
@@ -361,7 +413,7 @@ fn golden_layouts() -> (Vec<(&'static str, TaskGraph)>, SystemContext) {
 fn golden_layouts_match_oracle() {
     let (layouts, _) = golden_layouts();
     for (name, g) in &layouts {
-        assert!(!check(name, g), "{name} must execute");
+        assert_eq!(check(name, g), Checked::Equal, "{name}");
     }
 }
 
@@ -378,7 +430,7 @@ fn spliced_optimus_schedule_matches_oracle() {
         .tasks()
         .iter()
         .any(|t| t.stream == Stream::EncP2p && t.kind == TaskKind::EncLlmTransfer));
-    assert!(!check("spliced optimus", &g));
+    assert_eq!(check("spliced optimus", &g), Checked::Equal);
 }
 
 #[test]
@@ -420,7 +472,7 @@ fn fault_injected_graphs_match_oracle() {
         let model = FaultModel::new(i as u64).with(scenario).unwrap();
         let inj = model.inject(g, &ctx.topo).unwrap();
         let label = format!("{name} + scenario {i}");
-        assert!(!check(&label, &inj.graph), "{label} must execute");
+        assert_eq!(check(&label, &inj.graph), Checked::Equal, "{label}");
     }
     // Everything at once, on both Megatron layouts.
     for (name, g) in &layouts[1..3] {
@@ -428,7 +480,8 @@ fn fault_injected_graphs_match_oracle() {
             .iter()
             .fold(FaultModel::new(11), |m, &s| m.with(s).unwrap());
         let inj = model.inject(g, &ctx.topo).unwrap();
-        assert!(!check(&format!("{name} + all faults"), &inj.graph));
+        let label = format!("{name} + all faults");
+        assert_eq!(check(&label, &inj.graph), Checked::Equal, "{label}");
     }
 }
 
@@ -440,7 +493,8 @@ fn jittered_graphs_match_oracle() {
             let mut rng = StdRng::seed_from_u64(0x11_7732 + k as u64);
             // eps = 1.0 draws factors down to zero: zero-duration tasks.
             let jittered = g.with_scaled_durations(|_| rng.random_range(1.0 - eps..=1.0 + eps));
-            assert!(!check(&format!("{name} jitter {eps}"), &jittered));
+            let label = format!("{name} jitter {eps}");
+            assert_eq!(check(&label, &jittered), Checked::Equal, "{label}");
         }
         let zeroed = g.with_durations(|t| {
             if t.stream == Stream::Compute {
@@ -449,7 +503,8 @@ fn jittered_graphs_match_oracle() {
                 DurNs::ZERO
             }
         });
-        assert!(!check(&format!("{name} free communication"), &zeroed));
+        let label = format!("{name} free communication");
+        assert_ne!(check(&label, &zeroed), Checked::Deadlock, "{label}");
     }
 }
 
@@ -475,7 +530,8 @@ fn random_forward_dags_match_oracle() {
             };
             ids.push(g.push("t", dev, stream, DurNs(dur), TaskKind::Generic, deps));
         }
-        assert!(!check(&format!("forward dag {case}"), &g));
+        let label = format!("forward dag {case}");
+        assert_eq!(check(&label, &g), Checked::Equal, "{label}");
     }
 }
 
@@ -520,7 +576,7 @@ fn random_general_graphs_match_oracle() {
                 g.add_dep(a, b);
             }
         }
-        if check(&format!("general graph {case}"), &g) {
+        if check(&format!("general graph {case}"), &g) == Checked::Deadlock {
             deadlocks += 1;
         }
     }
@@ -543,7 +599,7 @@ fn zero_duration_chains_match_oracle() {
             vec![prev],
         );
     }
-    assert!(!check("zero chain on one stream", &g));
+    assert_ne!(check("zero chain on one stream", &g), Checked::Deadlock);
 
     // A zero chain zig-zagging across devices and streams, between real work.
     let mut g = TaskGraph::new(3);
@@ -568,7 +624,7 @@ fn zero_duration_chains_match_oracle() {
         );
     }
     g.push("w", 2, Stream::Compute, DurNs(5), TaskKind::Generic, vec![]);
-    assert!(!check("zero chain across devices", &g));
+    assert_ne!(check("zero chain across devices", &g), Checked::Deadlock);
 
     // Zero-duration tasks only: everything happens at t = 0.
     let mut g = TaskGraph::new(2);
@@ -583,7 +639,21 @@ fn zero_duration_chains_match_oracle() {
             deps,
         );
     }
-    assert!(!check("all zero", &g));
+    assert_ne!(check("all zero", &g), Checked::Deadlock);
+
+    // A zero-duration task wired by a late edge to the lower-id task that
+    // waits for it: both start at 0, so the oracle's reverse start-time
+    // order visits the zero-duration task first and leaves it the makespan
+    // as latest start. Its successor must start by 90, so it must too.
+    let mut g = TaskGraph::new(2);
+    let k = push(&mut g, 0, Stream::Compute, 10, vec![]);
+    let c = push(&mut g, 1, Stream::TpComm, 0, vec![]);
+    g.add_dep(k, c);
+    push(&mut g, 1, Stream::Compute, 100, vec![]);
+    assert_eq!(check("zero-duration late edge", &g), Checked::EqualSpans);
+    let r = simulate(&g).unwrap();
+    assert_eq!(latest_start_times(&g, &r)[c.index()], TimeNs(90));
+    assert_eq!(oracle::latest_start_times(&g, &r)[c.index()], TimeNs(100));
 }
 
 fn push(g: &mut TaskGraph, dev: u32, stream: Stream, dur: u64, deps: Vec<TaskId>) -> TaskId {
@@ -616,7 +686,7 @@ fn deadlock_fixtures_match_oracle() {
     push(&mut g, 0, Stream::TpComm, 1, vec![k2]);
     let c2 = push(&mut g, 0, Stream::TpComm, 1, vec![]);
     g.add_dep(k1, c2);
-    assert!(check("crossed queues", &g));
+    assert_eq!(check("crossed queues", &g), Checked::Deadlock);
 
     // OPT001: a dependency-only cycle.
     let mut g = TaskGraph::new(2);
@@ -624,7 +694,7 @@ fn deadlock_fixtures_match_oracle() {
     let b = push(&mut g, 1, Stream::Compute, 10, vec![a]);
     g.add_dep(a, b);
     push(&mut g, 1, Stream::TpComm, 10, vec![]);
-    assert!(check("dependency cycle", &g));
+    assert_eq!(check("dependency cycle", &g), Checked::Deadlock);
 
     // OPT002: a task queued ahead of the task it waits for.
     let mut g = TaskGraph::new(1);
@@ -632,7 +702,7 @@ fn deadlock_fixtures_match_oracle() {
     let b = push(&mut g, 0, Stream::Compute, 10, vec![]);
     push(&mut g, 0, Stream::Compute, 10, vec![]);
     g.add_dep(a, b);
-    assert!(check("same-queue inversion", &g));
+    assert_eq!(check("same-queue inversion", &g), Checked::Deadlock);
 
     // A deadlock downstream of work that does execute.
     let mut g = TaskGraph::new(2);
@@ -641,7 +711,7 @@ fn deadlock_fixtures_match_oracle() {
     let b = push(&mut g, 0, Stream::Compute, 10, vec![]);
     g.add_dep(a, b);
     push(&mut g, 1, Stream::Compute, 5, vec![]);
-    assert!(check("partial deadlock", &g));
+    assert_eq!(check("partial deadlock", &g), Checked::Deadlock);
 
     // Queue swaps in a real lowered 1F1B schedule (the lint mutation
     // fixture): forward/backward swaps on every device's compute queue.
@@ -682,7 +752,7 @@ fn deadlock_fixtures_match_oracle() {
         p2p: DurNs(50),
     };
     let lowered = lower(&spec, &one_f_one_b(3, 4).unwrap(), &[]).unwrap();
-    assert!(!check("lowered 1f1b", &lowered.graph));
+    assert_eq!(check("lowered 1f1b", &lowered.graph), Checked::Equal);
     let mut deadlocks = 0;
     for ((dev, stream), queue) in oracle::stream_queues(&lowered.graph) {
         if stream != Stream::Compute {
@@ -698,7 +768,7 @@ fn deadlock_fixtures_match_oracle() {
             (0, queue.len() - 1),
         ] {
             let mutated = swap_queue_positions(&lowered.graph, queue[i], queue[j]);
-            if check(&format!("device {dev} swap {i}<->{j}"), &mutated) {
+            if check(&format!("device {dev} swap {i}<->{j}"), &mutated) == Checked::Deadlock {
                 deadlocks += 1;
             }
         }

@@ -104,7 +104,7 @@ fn bubble_placement_beats_critical_path_under_multi_faults() {
     // The lost-work ledger balances exactly on both.
     assert_eq!(gb.useful_ns + gb.lost.total(), gb.wall_ns);
     assert_eq!(gc.useful_ns + gc.lost.total(), gc.wall_ns);
-    // And the discrete-event engine agrees with the analytic wall.
+    // And the simulator agrees with the analytic wall.
     engine_check(&b, bubble.num_ranks).expect("engine check");
     engine_check(&c, critical.num_ranks).expect("engine check");
 }
