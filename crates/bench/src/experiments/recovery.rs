@@ -14,9 +14,9 @@ use optimus_core::{run_optimus, OptimusConfig, OptimusRun};
 use optimus_modeling::{MllmConfig, Workload};
 use optimus_parallel::ParallelPlan;
 use optimus_recovery::{
-    engine_check, plan_checkpoints, plan_elastic, simulate_lifecycle, CheckpointConfig,
-    CheckpointPlan, DegradedMode, ElasticDecision, Failure, FailureKind, FailureTrace,
-    FailureTraceConfig, GoodputReport, Hazard, RecoveryParams,
+    plan_checkpoints, plan_elastic, simulate_lifecycle, CheckpointConfig, CheckpointPlan,
+    DegradedMode, ElasticDecision, Failure, FailureKind, FailureTrace, FailureTraceConfig,
+    GoodputReport, Hazard, RecoveryParams,
 };
 use optimus_trace::{fault_table_with_recovery, TextTable};
 
@@ -114,8 +114,6 @@ pub fn run(smoke: bool) -> (String, Study) {
     let bubble_out = simulate_lifecycle(&bubble_plan, &trace, &params, horizon).expect("lifecycle");
     let critical_out =
         simulate_lifecycle(&critical_plan, &trace, &params, horizon).expect("lifecycle");
-    engine_check(&bubble_out, bubble_plan.num_ranks).expect("engine cross-check");
-    engine_check(&critical_out, critical_plan.num_ranks).expect("engine cross-check");
     let bubble = GoodputReport::from_outcome(&bubble_out);
     let critical = GoodputReport::from_outcome(&critical_out);
 
@@ -151,8 +149,6 @@ pub fn run(smoke: bool) -> (String, Study) {
     };
     let elastic_out =
         simulate_lifecycle(&bubble_plan, &loss_trace, &elastic_params, horizon).expect("lifecycle");
-    engine_check(&wait_out, bubble_plan.num_ranks).expect("engine cross-check");
-    engine_check(&elastic_out, bubble_plan.num_ranks).expect("engine cross-check");
     let wait = GoodputReport::from_outcome(&wait_out);
     let elastic = GoodputReport::from_outcome(&elastic_out);
 

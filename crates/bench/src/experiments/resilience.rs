@@ -16,7 +16,7 @@ use optimus_faults::{FaultModel, FaultScenario};
 use optimus_modeling::{MllmConfig, Workload};
 use optimus_parallel::ParallelPlan;
 use optimus_recovery::{
-    plan_checkpoints, simulate_lifecycle, CheckpointConfig, FailureTrace, GoodputReport,
+    lifecycle_ledger, plan_checkpoints, CheckpointConfig, FailureTrace, GoodputReport, LedgerPlan,
     RecoveryParams,
 };
 use optimus_trace::{fault_table, TextTable};
@@ -152,8 +152,8 @@ fn fail_stop_check(
         })
         .ok()?;
     let params = RecoveryParams::defaults();
-    let outcome =
-        simulate_lifecycle(&plan, &FailureTrace::from_model(&model), &params, horizon).ok()?;
+    let trace = FailureTrace::from_model(&model);
+    let outcome = lifecycle_ledger(&LedgerPlan::of(&plan), &trace, &params, horizon).ok()?;
     // Worst case: a truncated step, detection, respawn + restore + restart
     // delay, then replaying a full checkpoint interval.
     let max_extra_ns = plan.step_ns

@@ -10,12 +10,8 @@ pub enum FleetError {
     /// Invalid scenario or study configuration.
     Invalid(String),
     /// An underlying recovery primitive (trace generation, parameter
-    /// validation) rejected its input.
+    /// validation, the lifecycle ledger and its audit) rejected its input.
     Recovery(RecoveryError),
-    /// The exact-ledger audit failed: a replica's wall clock does not equal
-    /// useful work plus the lost-work ledger. This is a bug, never a
-    /// data-dependent condition.
-    Audit(String),
 }
 
 impl fmt::Display for FleetError {
@@ -23,7 +19,6 @@ impl fmt::Display for FleetError {
         match self {
             FleetError::Invalid(msg) => write!(f, "invalid fleet config: {msg}"),
             FleetError::Recovery(e) => write!(f, "recovery primitive failed: {e}"),
-            FleetError::Audit(msg) => write!(f, "ledger audit failed: {msg}"),
         }
     }
 }

@@ -10,12 +10,12 @@
 //!    fail-stop, NIC fault, host loss — [`optimus_recovery::ComponentSpec`],
 //!    optionally calibrated from observed traces via
 //!    [`optimus_calibrate::fit_mtbf`]), each priced by the **exact**
-//!    lifecycle ledger. The walk is an `O(failures · log steps)` jump
-//!    re-derivation of `simulate_lifecycle` ([`ledger`]) — same integer-ns
-//!    state machine, proven equivalent by test — so a replica audit
-//!    (`wall == useful + lost`, [`LedgerOutcome::audit`]) backs every
-//!    statistic. Replicas fan out over the deterministic worker pool:
-//!    bit-identical at any worker count.
+//!    lifecycle ledger: recovery's one lifecycle walk, run without its
+//!    timeline in `O(failures · log steps)`
+//!    ([`optimus_recovery::lifecycle_ledger`]), so a replica audit
+//!    (`wall == useful + lost`, [`optimus_recovery::RecoveryOutcome::audit`])
+//!    backs every statistic. Replicas fan out over the deterministic worker
+//!    pool: bit-identical at any worker count.
 //! 2. **Optimal checkpoint-interval solver** ([`solver`]) — the Young/Daly
 //!    closed form (`T = √(2δM)`), its bubble-aware self-consistent fixed
 //!    point, and a golden-section search over the exact ledger, reported
@@ -52,7 +52,6 @@
 
 pub mod error;
 pub mod frontier;
-pub mod ledger;
 pub mod montecarlo;
 pub mod report;
 pub mod scenario;
@@ -60,7 +59,6 @@ pub mod solver;
 
 pub use error::FleetError;
 pub use frontier::{sweep_frontier, FrontierCell, FrontierConfig};
-pub use ledger::{fast_lifecycle, LedgerOutcome, LedgerPlan};
 pub use montecarlo::{
     evaluate, replica_traces, run_monte_carlo, McConfig, McStudy, McSummary, ReplicaOutcome,
 };

@@ -9,11 +9,12 @@
 //! order, so every summary is bit-identical at any worker count.
 
 use optimus_parallel::par_map;
-use optimus_recovery::{FailureTrace, LostWork, RecoveryParams};
+use optimus_recovery::{
+    lifecycle_ledger, FailureTrace, GoodputReport, LedgerPlan, LostWork, RecoveryParams,
+};
 use optimus_trace::quantile;
 
 use crate::error::{invalid, FleetError};
-use crate::ledger::{fast_lifecycle, LedgerPlan};
 use crate::scenario::FleetScenario;
 
 /// Monte Carlo sizing knobs.
@@ -97,13 +98,13 @@ pub fn evaluate(
         return invalid("monte carlo needs at least one replica trace");
     }
     let run = par_map(traces, workers, |i, trace| {
-        let out = fast_lifecycle(plan, trace, params, horizon_steps)?;
+        let out = lifecycle_ledger(plan, trace, params, horizon_steps)?;
         out.audit()?;
         Ok::<ReplicaOutcome, FleetError>(ReplicaOutcome {
             replica: i as u32,
             failures: out.failures_seen,
             wall_ns: out.wall_ns,
-            goodput: out.goodput(),
+            goodput: GoodputReport::from_outcome(&out).goodput(),
             lost: out.lost,
         })
     });

@@ -12,12 +12,11 @@
 use optimus_calibrate::MtbfCalibration;
 use optimus_cluster::DurNs;
 use optimus_recovery::{
-    ClassedTrace, ComponentSpec, DegradedMode, DegradedPlan, FailureTrace, PlacementPolicy,
-    RecoveryParams,
+    ClassedTrace, ComponentSpec, DegradedMode, DegradedPlan, FailureTrace, LedgerPlan,
+    PlacementPolicy, RecoveryParams,
 };
 
 use crate::error::{invalid, FleetError};
-use crate::ledger::LedgerPlan;
 
 /// Salt mixed into per-replica trace seeds (the SplitMix64 increment, the
 /// same constant the per-class stream salting uses — additive here, so the

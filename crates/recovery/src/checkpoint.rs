@@ -19,6 +19,7 @@ use optimus_modeling::MemoryEstimate;
 pub use optimus_fill::storage_time_ns;
 
 use crate::error::RecoveryError;
+use crate::lifecycle::LedgerPlan;
 
 /// Where checkpoint shard writes are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,8 +198,7 @@ impl CheckpointPlan {
 
     /// Fault-free wall time for `horizon_steps` steps under this plan.
     pub fn fault_free_wall_ns(&self, horizon_steps: u32) -> i64 {
-        horizon_steps as i64 * self.step_ns
-            + (horizon_steps / self.interval_steps) as i64 * self.spill_ns
+        LedgerPlan::of(self).fault_free_wall_ns(horizon_steps)
     }
 
     /// Fraction of the shard write hidden inside bubbles on the worst

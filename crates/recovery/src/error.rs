@@ -10,8 +10,9 @@ pub enum RecoveryError {
     Invalid(String),
     /// The planner/scheduler failed while pricing a degraded configuration.
     Plan(String),
-    /// The simulator rejected the lowered recovery timeline.
-    Sim(String),
+    /// A lifecycle ledger does not balance (`wall != useful + lost`). This
+    /// is a bug, never a data-dependent condition.
+    Audit(String),
     /// The combined bubble claims (encoder inserts + checkpoint shards)
     /// failed static analysis — the placement itself is unsound.
     Lint(Vec<String>),
@@ -22,7 +23,7 @@ impl fmt::Display for RecoveryError {
         match self {
             RecoveryError::Invalid(msg) => write!(f, "invalid recovery config: {msg}"),
             RecoveryError::Plan(msg) => write!(f, "degraded-plan pricing failed: {msg}"),
-            RecoveryError::Sim(msg) => write!(f, "recovery timeline simulation failed: {msg}"),
+            RecoveryError::Audit(msg) => write!(f, "ledger audit failed: {msg}"),
             RecoveryError::Lint(diags) => {
                 write!(f, "checkpoint placement failed lint: {}", diags.join("; "))
             }

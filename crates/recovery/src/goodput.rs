@@ -35,7 +35,7 @@ impl GoodputReport {
         GoodputReport {
             horizon_steps: outcome.horizon_steps,
             step_ns: outcome.step_ns,
-            useful_ns: outcome.horizon_steps as i64 * outcome.step_ns,
+            useful_ns: outcome.useful_ns(),
             wall_ns: outcome.wall_ns,
             lost: outcome.lost,
             failures: outcome.failures_seen,

@@ -14,9 +14,11 @@
 //!    critical-path policy is the baseline.
 //! 2. **Failure lifecycle** ([`failure`], [`lifecycle`]) — deterministic
 //!    multi-failure traces (seeded, or derived from
-//!    [`optimus_faults::FaultModel`] scenarios) drive an integer-ns
+//!    [`optimus_faults::FaultModel`] scenarios) drive one integer-ns
 //!    lifecycle walk: detection, restart, checkpoint restore, rollback,
-//!    replay — cross-checked against the simulator.
+//!    replay. It jumps between events, so the ledger alone costs
+//!    `O(failures · log steps)`; the per-step timeline is recorded only on
+//!    request.
 //! 3. **Elastic degraded modes** ([`elastic`]) — on a permanent device
 //!    loss, shrink-DP and drop-a-pipeline-replica configurations are priced
 //!    by re-running the Optimus planner on the shrunken cluster, and the
@@ -50,6 +52,6 @@ pub use failure::{
 };
 pub use goodput::GoodputReport;
 pub use lifecycle::{
-    engine_check, lower_timeline, simulate_lifecycle, timeline_text, LostWork, RecoveryOutcome,
+    lifecycle_ledger, simulate_lifecycle, timeline_text, LedgerPlan, LostWork, RecoveryOutcome,
     RecoveryParams, Segment, SegmentKind,
 };

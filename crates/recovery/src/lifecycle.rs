@@ -10,13 +10,22 @@
 //! repair or — when the elastic planner supplied a [`DegradedPlan`] — pays
 //! a reshard, runs degraded until the repair lands, and reshards back.
 //!
-//! Every wall-clock advance is a [`Segment`], so the timeline is gapless:
-//! `wall == useful + lost.total()` holds exactly, and lowering the segments
-//! to a task graph and simulating it reproduces the
-//! analytic wall bit-for-bit ([`engine_check`]).
+//! One walk implements this state machine, in jumps: between two events
+//! (the next failure, the replay catch-up, the degraded-mode repair
+//! landing, the end of the horizon) every step costs the same and
+//! checkpoints fire at fixed multiples of the interval, so the wall after
+//! `j` more steps is `wall + j·cost + ckpts(j)·spill`. A binary search on
+//! that strictly increasing function finds how many steps fit before the
+//! next event, and the whole stretch is booked in O(1). The ledger alone
+//! ([`lifecycle_ledger`]) therefore costs `O(failures · log steps)`, which
+//! is what month-long fleet horizons need. [`simulate_lifecycle`] runs the
+//! same walk and also records the gapless [`Segment`] timeline and the
+//! recovery trace events, expanding each stretch step by step.
+//!
+//! Either way `wall == useful + lost.total()` holds exactly
+//! ([`RecoveryOutcome::audit`]).
 
 use optimus_cluster::DurNs;
-use optimus_sim::{simulate, Stream, TaskGraph, TaskKind};
 use optimus_trace::TraceAnnotation;
 
 use crate::checkpoint::CheckpointPlan;
@@ -130,8 +139,67 @@ impl RecoveryParams {
     }
 }
 
+/// The four numbers of a checkpoint plan the lifecycle consumes. Everything
+/// else on [`CheckpointPlan`] (claims, insert sets, byte counts) prices or
+/// verifies the placement; the ledger only needs the step cost, the restore
+/// read, and the per-interval spill.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LedgerPlan {
+    /// Steps between durable checkpoints (`> 0`).
+    pub interval_steps: u32,
+    /// Fault-free step latency, ns (`> 0`).
+    pub step_ns: i64,
+    /// Full shard write — and restore read — time, ns (`>= 0`).
+    pub write_ns: i64,
+    /// Critical-path stall per checkpoint interval, ns (`>= 0`; zero when
+    /// the write is fully bubble-hidden).
+    pub spill_ns: i64,
+}
+
+impl LedgerPlan {
+    /// Extracts the ledger view of a priced checkpoint plan.
+    pub fn of(plan: &CheckpointPlan) -> LedgerPlan {
+        LedgerPlan {
+            interval_steps: plan.interval_steps,
+            step_ns: plan.step_ns,
+            write_ns: plan.write_ns,
+            spill_ns: plan.spill_ns,
+        }
+    }
+
+    /// Rejects degenerate plans.
+    pub fn validate(&self) -> Result<(), RecoveryError> {
+        let invalid = |msg: String| Err(RecoveryError::Invalid(msg));
+        if self.interval_steps == 0 {
+            return invalid("checkpoint interval must be >= 1 step".into());
+        }
+        if self.step_ns <= 0 {
+            return invalid(format!("non-positive step latency {}", self.step_ns));
+        }
+        if self.write_ns < 0 || self.spill_ns < 0 {
+            return invalid(format!(
+                "negative write ({}) or spill ({})",
+                self.write_ns, self.spill_ns
+            ));
+        }
+        if self.spill_ns > self.write_ns {
+            return invalid(format!(
+                "spill {} exceeds the full write {}",
+                self.spill_ns, self.write_ns
+            ));
+        }
+        Ok(())
+    }
+
+    /// Fault-free wall time for `horizon_steps` steps.
+    pub fn fault_free_wall_ns(&self, horizon_steps: u32) -> i64 {
+        horizon_steps as i64 * self.step_ns
+            + (horizon_steps / self.interval_steps) as i64 * self.spill_ns
+    }
+}
+
 /// The simulated lifecycle of one checkpointed horizon under a failure
-/// trace.
+/// trace: the exact ledger, plus the timeline when one was recorded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryOutcome {
     /// Steps in the horizon.
@@ -145,30 +213,114 @@ pub struct RecoveryOutcome {
     pub lost: LostWork,
     /// Failures that fired inside the horizon.
     pub failures_seen: u32,
-    /// Per-failure recovery time (failure instant → replay caught up), ns.
+    /// Per-failure recovery time (failure instant → replay caught up), ns,
+    /// in event order.
     pub recoveries_ns: Vec<i64>,
-    /// The gapless timeline.
+    /// The gapless timeline (empty from [`lifecycle_ledger`]).
     pub segments: Vec<Segment>,
-    /// Recovery-lifecycle trace events (for the chrome recovery track).
+    /// Recovery-lifecycle trace events for the chrome recovery track (empty
+    /// from [`lifecycle_ledger`]).
     pub events: Vec<TraceAnnotation>,
 }
 
-fn event(label: &str, device: u32, at_ns: i64, detail: String) -> TraceAnnotation {
-    TraceAnnotation {
-        label: label.to_string(),
-        device,
-        at_us: at_ns as f64 / 1e3,
-        detail,
+impl RecoveryOutcome {
+    /// Useful work: `horizon_steps · step_ns`.
+    pub fn useful_ns(&self) -> i64 {
+        self.horizon_steps as i64 * self.step_ns
+    }
+
+    /// Checks the exactness invariant `wall == useful + lost.total()`. A
+    /// violation is a ledger bug, so Monte Carlo audits every replica.
+    pub fn audit(&self) -> Result<(), RecoveryError> {
+        let expect = self.useful_ns() + self.lost.total();
+        if self.wall_ns != expect {
+            return Err(RecoveryError::Audit(format!(
+                "wall {} ns != useful {} + lost {} = {} ns",
+                self.wall_ns,
+                self.useful_ns(),
+                self.lost.total(),
+                expect
+            )));
+        }
+        Ok(())
     }
 }
 
-/// Runs the failure lifecycle for `horizon_steps` training steps.
+/// The timeline a walk records on request.
+struct Timeline {
+    /// Snapshot bytes per rank, for the restore and durability notes.
+    bytes_per_rank: u64,
+    segments: Vec<Segment>,
+    events: Vec<TraceAnnotation>,
+}
+
+impl Timeline {
+    /// Appends a segment; empty spans leave no segment.
+    fn seg(&mut self, kind: SegmentKind, start: i64, len: i64, note: String) {
+        if len > 0 {
+            self.segments.push(Segment {
+                kind,
+                start,
+                end: start + len,
+                note,
+            });
+        }
+    }
+
+    fn event(&mut self, label: &str, device: u32, at_ns: i64, detail: String) {
+        self.events.push(TraceAnnotation {
+            label: label.to_string(),
+            device,
+            at_us: at_ns as f64 / 1e3,
+            detail,
+        });
+    }
+}
+
+/// Runs the failure lifecycle for `horizon_steps` training steps and
+/// records its timeline: every segment, one per step, and the recovery
+/// trace events.
 pub fn simulate_lifecycle(
     plan: &CheckpointPlan,
     trace: &FailureTrace,
     params: &RecoveryParams,
     horizon_steps: u32,
 ) -> Result<RecoveryOutcome, RecoveryError> {
+    let timeline = Timeline {
+        bytes_per_rank: plan.bytes_per_rank,
+        segments: Vec::new(),
+        events: Vec::new(),
+    };
+    walk(
+        &LedgerPlan::of(plan),
+        trace,
+        params,
+        horizon_steps,
+        Some(timeline),
+    )
+}
+
+/// Runs the failure lifecycle for `horizon_steps` training steps in
+/// `O(failures · log steps)`: the ledger of [`simulate_lifecycle`], with
+/// no segments or events.
+pub fn lifecycle_ledger(
+    plan: &LedgerPlan,
+    trace: &FailureTrace,
+    params: &RecoveryParams,
+    horizon_steps: u32,
+) -> Result<RecoveryOutcome, RecoveryError> {
+    walk(plan, trace, params, horizon_steps, None)
+}
+
+/// The lifecycle state machine, advanced in jumps between events.
+fn walk(
+    plan: &LedgerPlan,
+    trace: &FailureTrace,
+    params: &RecoveryParams,
+    horizon_steps: u32,
+    mut rec: Option<Timeline>,
+) -> Result<RecoveryOutcome, RecoveryError> {
+    plan.validate()?;
     if horizon_steps == 0 {
         return Err(RecoveryError::Invalid("empty training horizon".into()));
     }
@@ -183,6 +335,7 @@ pub fn simulate_lifecycle(
     let n = horizon_steps;
     let k = plan.interval_steps;
     let step = plan.step_ns;
+    let spill = plan.spill_ns;
     let read_ns = plan.write_ns; // restore read: same bytes, same link
     let det = params.detection.0 as i64;
     let overhead = params.restart_overhead.0 as i64;
@@ -195,44 +348,31 @@ pub fn simulate_lifecycle(
     let mut degraded_until: Option<i64> = None;
 
     let mut lost = LostWork::default();
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut events: Vec<TraceAnnotation> = Vec::new();
     let mut recoveries: Vec<i64> = Vec::new();
     let mut failures_seen = 0u32;
     let mut fi = 0usize;
     let fails = trace.failures();
 
-    let push_seg =
-        |segments: &mut Vec<Segment>, kind: SegmentKind, start: i64, len: i64, note: String| {
-            if len > 0 {
-                segments.push(Segment {
-                    kind,
-                    start,
-                    end: start + len,
-                    note,
-                });
-            }
-        };
+    // Checkpoints paid while stepping `j` times from progress `p0`. At
+    // every loop top `committed == (p0 / k) · k` (a checkpoint commits at
+    // each crossed multiple of `k`, and rollback lands exactly on one), so
+    // the boundaries crossed are the multiples of `k` in `(p0, p0 + j]`.
+    let ckpts = |p0: u32, j: u64| -> i64 {
+        ((u64::from(p0) + j) / u64::from(k) - u64::from(p0) / u64::from(k)) as i64
+    };
 
     while progress < n {
         // Leave degraded mode at a step boundary once the repair landed.
         if let (Some(t), Some(d)) = (degraded_until, params.degraded.as_ref()) {
             if wall >= t {
-                push_seg(
-                    &mut segments,
-                    SegmentKind::Reshard,
-                    wall,
-                    d.reshard_ns,
-                    "reshard back to full configuration".into(),
-                );
+                if let Some(tl) = rec.as_mut() {
+                    let note = "reshard back to full configuration".into();
+                    tl.seg(SegmentKind::Reshard, wall, d.reshard_ns, note);
+                    let detail = format!("repair landed; left {} mode", d.mode.label());
+                    tl.event("degraded_exit", 0, wall + d.reshard_ns, detail);
+                }
                 lost.restart_ns += d.reshard_ns;
                 wall += d.reshard_ns;
-                events.push(event(
-                    "degraded_exit",
-                    0,
-                    wall,
-                    format!("repair landed; left {} mode", d.mode.label()),
-                ));
                 degraded_until = None;
             }
         }
@@ -242,178 +382,181 @@ pub fn simulate_lifecycle(
             _ => step,
         };
 
-        // A failure fires inside this step?
+        // A failure fires inside the very next step: truncate it, detect,
+        // wait or reshard, restart, and roll back to the last durable step.
         if fi < fails.len() && (fails[fi].at.0 as i64) < wall + cost {
             let f = fails[fi];
             fi += 1;
             failures_seen += 1;
             let fat = (f.at.0 as i64).max(wall);
-            let partial = fat - wall;
-            push_seg(
-                &mut segments,
-                SegmentKind::Replay,
-                wall,
-                partial,
-                format!("step {} truncated by failure on dev {}", progress, f.device),
-            );
-            lost.replay_ns += partial;
-            wall = fat;
-            if open_failure_at.is_none() {
-                open_failure_at = Some(fat);
-            }
-            push_seg(
-                &mut segments,
-                SegmentKind::Detect,
-                wall,
-                det,
-                format!("detecting loss of dev {}", f.device),
-            );
-            lost.detection_ns += det;
-            wall += det;
-            events.push(event(
-                "detection",
-                f.device,
-                wall,
-                format!("fail-stop on dev {} detected", f.device),
-            ));
+            let partial = fat - wall; // the truncated step is replayed work
+            open_failure_at.get_or_insert(fat);
+            let detected = fat + det;
             let mut restart_cost = overhead + read_ns;
+            let (mut waited, mut entered) = (0, None);
             match f.kind {
-                FailureKind::Transient { restart } => {
-                    restart_cost += restart.0 as i64;
-                }
+                FailureKind::Transient { restart } => restart_cost += restart.0 as i64,
                 FailureKind::Permanent { repair } => {
                     let repair_at = fat + repair.0 as i64;
                     match (&params.degraded, degraded_until) {
-                        (None, _) => {
-                            // Wait-for-restart: idle until the replacement.
-                            let waited = (repair_at - wall).max(0);
-                            push_seg(
-                                &mut segments,
-                                SegmentKind::Wait,
-                                wall,
-                                waited,
-                                format!("waiting for repair of dev {}", f.device),
-                            );
-                            lost.wait_ns += waited;
-                            wall += waited;
-                        }
+                        // Wait-for-restart: idle until the replacement.
+                        (None, _) => waited = (repair_at - detected).max(0),
                         (Some(d), None) => {
-                            degraded_until = Some(repair_at.max(wall));
-                            events.push(event(
-                                "degraded_enter",
-                                f.device,
-                                wall,
-                                format!(
-                                    "entering {} mode until repair (+{} ns)",
-                                    d.mode.label(),
-                                    repair.0
-                                ),
-                            ));
-                            push_seg(
-                                &mut segments,
-                                SegmentKind::Reshard,
-                                wall,
-                                d.reshard_ns,
-                                format!("reshard onto survivors of dev {} loss", f.device),
-                            );
-                            lost.restart_ns += d.reshard_ns;
-                            wall += d.reshard_ns;
+                            degraded_until = Some(repair_at.max(detected));
+                            entered = Some((d, repair));
                         }
-                        (Some(_), Some(t)) => {
-                            // A second loss while already degraded: extend
-                            // the repair horizon; state is rebuilt by the
-                            // restart below.
-                            degraded_until = Some(t.max(repair_at));
-                        }
+                        // A second loss while already degraded: extend the
+                        // repair horizon; state is rebuilt by the restart.
+                        (Some(_), Some(t)) => degraded_until = Some(t.max(repair_at)),
                     }
                 }
             }
-            push_seg(
-                &mut segments,
-                SegmentKind::Restart,
-                wall,
-                restart_cost,
-                format!(
-                    "respawn + restore {} B/rank from storage",
-                    plan.bytes_per_rank
-                ),
-            );
-            lost.restart_ns += restart_cost;
-            wall += restart_cost;
+            let reshard = entered.map_or(0, |(d, _)| d.reshard_ns);
+            let restart_at = detected + waited + reshard;
+            lost.replay_ns += partial;
+            lost.detection_ns += det;
+            lost.wait_ns += waited;
+            lost.restart_ns += reshard + restart_cost;
             replay_target = replay_target.max(progress);
+            let truncated = progress;
             progress = committed;
-            events.push(event(
-                "rollback",
-                f.device,
-                wall,
-                format!("rolled back to durable step {committed}"),
-            ));
-            if replay_target <= progress {
-                // Nothing to replay: the failure hit right on a checkpoint.
-                events.push(event(
-                    "replay_done",
-                    f.device,
-                    wall,
-                    "0 steps replayed".into(),
-                ));
+            let wall0 = wall;
+            wall = restart_at + restart_cost;
+            // Nothing to replay: the failure hit right on a checkpoint.
+            let caught_up = replay_target <= progress;
+            if caught_up {
                 if let Some(at) = open_failure_at.take() {
                     recoveries.push(wall - at);
+                }
+            }
+
+            if let Some(tl) = rec.as_mut() {
+                let dev = f.device;
+                let note = format!("step {truncated} truncated by failure on dev {dev}");
+                tl.seg(SegmentKind::Replay, wall0, partial, note);
+                let note = format!("detecting loss of dev {dev}");
+                tl.seg(SegmentKind::Detect, fat, det, note);
+                let detail = format!("fail-stop on dev {dev} detected");
+                tl.event("detection", dev, detected, detail);
+                let note = format!("waiting for repair of dev {dev}");
+                tl.seg(SegmentKind::Wait, detected, waited, note);
+                if let Some((d, repair)) = entered {
+                    let label = d.mode.label();
+                    let detail = format!("entering {label} mode until repair (+{} ns)", repair.0);
+                    tl.event("degraded_enter", dev, detected, detail);
+                    let note = format!("reshard onto survivors of dev {dev} loss");
+                    tl.seg(SegmentKind::Reshard, detected, reshard, note);
+                }
+                let bytes = tl.bytes_per_rank;
+                let note = format!("respawn + restore {bytes} B/rank from storage");
+                tl.seg(SegmentKind::Restart, restart_at, restart_cost, note);
+                let detail = format!("rolled back to durable step {committed}");
+                tl.event("rollback", dev, wall, detail);
+                if caught_up {
+                    tl.event("replay_done", dev, wall, "0 steps replayed".into());
                 }
             }
             continue;
         }
 
-        // Run one step.
-        let replaying = progress < replay_target;
-        let kind = if replaying {
-            SegmentKind::Replay
-        } else if in_degraded {
-            SegmentKind::Degraded
-        } else {
-            SegmentKind::Step
-        };
-        push_seg(&mut segments, kind, wall, cost, format!("step {progress}"));
-        wall += cost;
-        progress += 1;
+        // Jump: run as many steps as fit before the next event. `w(j)` is
+        // the wall at the loop top after `j` more steps — strictly
+        // increasing, so every cap is a binary search.
+        let p0 = progress;
+        let w = |j: u64| -> i64 { wall + j as i64 * cost + ckpts(p0, j) * spill };
+        let mut s: u64 = u64::from(n - p0);
+        let replaying = p0 < replay_target;
         if replaying {
-            lost.replay_ns += cost;
-            if progress == replay_target {
-                events.push(event(
-                    "replay_done",
-                    0,
-                    wall,
-                    format!("caught up to step {replay_target}"),
-                ));
+            // The replay→step transition (and the recovery close) happens
+            // at the catch-up boundary.
+            s = s.min(u64::from(replay_target - p0));
+        }
+        if let Some(t) = degraded_until {
+            // The loop-top reshard-back fires at the first step boundary
+            // with `wall >= t`; the check above guarantees `w(0) < t`.
+            if w(s) >= t {
+                let (mut lo, mut hi) = (1u64, s);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if w(mid) >= t {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                s = lo;
+            }
+        }
+        if fi < fails.len() {
+            // Step `j` (1-based) is failure-free iff `w(j-1) + cost <= at`;
+            // the loop-top check guarantees step 1 is safe.
+            let at = fails[fi].at.0 as i64;
+            if w(s - 1) + cost > at {
+                let (mut lo, mut hi) = (1u64, s); // lo safe, hi unsafe
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if w(mid - 1) + cost <= at {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                s = lo;
+            }
+        }
+
+        if let Some(tl) = rec.as_mut() {
+            // The stretch, step by step: each step's segment, the replay
+            // catch-up after its last step, and a spill plus durable event
+            // after every step that completes an interval.
+            let kind = if replaying {
+                SegmentKind::Replay
+            } else if in_degraded {
+                SegmentKind::Degraded
+            } else {
+                SegmentKind::Step
+            };
+            let mut at = wall;
+            for done in p0 + 1..=p0 + s as u32 {
+                tl.seg(kind, at, cost, format!("step {}", done - 1));
+                at += cost;
+                if replaying && done == replay_target {
+                    let detail = format!("caught up to step {replay_target}");
+                    tl.event("replay_done", 0, at, detail);
+                }
+                if done.is_multiple_of(k) {
+                    let note = format!("checkpoint spill at step {done}");
+                    tl.seg(SegmentKind::Ckpt, at, spill, note);
+                    at += spill;
+                    let bytes = tl.bytes_per_rank;
+                    let detail = format!("step {done} durable ({bytes} B/rank)");
+                    tl.event("checkpoint_durable", 0, at, detail);
+                }
+            }
+        }
+
+        // Book the whole stretch in O(1) — per-step ledger constants times
+        // the jump length, spills by the boundary count.
+        if replaying {
+            lost.replay_ns += s as i64 * cost;
+            if u64::from(p0) + s == u64::from(replay_target) {
+                // The recovery closes after the catch-up step's cost but
+                // before that step's own spill.
                 if let Some(at) = open_failure_at.take() {
-                    recoveries.push(wall - at);
+                    recoveries.push(wall + s as i64 * cost + ckpts(p0, s - 1) * spill - at);
                 }
             }
         } else if in_degraded {
-            lost.degraded_ns += (cost - step).max(0);
+            lost.degraded_ns += s as i64 * (cost - step).max(0);
         }
-
-        // Durable checkpoint at the interval boundary.
-        if progress.is_multiple_of(k) && progress > committed {
-            push_seg(
-                &mut segments,
-                SegmentKind::Ckpt,
-                wall,
-                plan.spill_ns,
-                format!("checkpoint spill at step {progress}"),
-            );
-            lost.spill_ns += plan.spill_ns;
-            wall += plan.spill_ns;
-            committed = progress;
-            events.push(event(
-                "checkpoint_durable",
-                0,
-                wall,
-                format!("step {progress} durable ({} B/rank)", plan.bytes_per_rank),
-            ));
-        }
+        lost.spill_ns += ckpts(p0, s) * spill;
+        wall = w(s);
+        progress = p0 + s as u32;
+        committed = (progress / k) * k;
     }
 
     debug_assert_eq!(wall, n as i64 * step + lost.total());
+    let (segments, events) = rec.map(|t| (t.segments, t.events)).unwrap_or_default();
     Ok(RecoveryOutcome {
         horizon_steps: n,
         step_ns: step,
@@ -424,47 +567,6 @@ pub fn simulate_lifecycle(
         segments,
         events,
     })
-}
-
-/// Lowers a recovery timeline to a task graph: one compute task per rank per
-/// segment, with a cross-rank barrier between consecutive segments (every
-/// lifecycle phase is a global event for a synchronous training job).
-pub fn lower_timeline(outcome: &RecoveryOutcome, num_ranks: u32) -> TaskGraph {
-    let ranks = num_ranks.max(1);
-    let mut g = TaskGraph::new(ranks);
-    let mut prev: Vec<optimus_sim::TaskId> = Vec::new();
-    for seg in &outcome.segments {
-        let dur = DurNs((seg.end - seg.start) as u64);
-        let mut cur = Vec::with_capacity(ranks as usize);
-        for r in 0..ranks {
-            cur.push(g.push(
-                seg.kind.label(),
-                r,
-                Stream::Compute,
-                dur,
-                TaskKind::Generic,
-                prev.clone(),
-            ));
-        }
-        prev = cur;
-    }
-    g
-}
-
-/// Cross-checks the analytic timeline against the simulator:
-/// lowers the segments to a barrier task graph, simulates it, and requires
-/// the engine's makespan to equal the analytic wall exactly.
-pub fn engine_check(outcome: &RecoveryOutcome, num_ranks: u32) -> Result<(), RecoveryError> {
-    let g = lower_timeline(outcome, num_ranks);
-    let result = simulate(&g).map_err(|e| RecoveryError::Sim(e.to_string()))?;
-    let makespan = result.makespan().0 as i64;
-    if makespan != outcome.wall_ns {
-        return Err(RecoveryError::Sim(format!(
-            "engine makespan {makespan} ns disagrees with analytic wall {} ns",
-            outcome.wall_ns
-        )));
-    }
-    Ok(())
 }
 
 /// Renders the timeline as a fixed-width text table (integer ns only, so
@@ -500,4 +602,76 @@ pub fn timeline_text(outcome: &RecoveryOutcome) -> String {
         outcome.lost.degraded_ns,
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::failure::{FailureTraceConfig, Hazard};
+
+    #[test]
+    fn rejects_degenerate_plans_and_horizons() {
+        let good = LedgerPlan {
+            interval_steps: 2,
+            step_ns: 10,
+            write_ns: 5,
+            spill_ns: 5,
+        };
+        let trace = FailureTrace::new(Vec::new()).expect("trace");
+        let params = RecoveryParams::defaults();
+        assert!(lifecycle_ledger(&good, &trace, &params, 0).is_err());
+        for bad in [
+            LedgerPlan {
+                interval_steps: 0,
+                ..good
+            },
+            LedgerPlan { step_ns: 0, ..good },
+            LedgerPlan {
+                spill_ns: 6,
+                ..good
+            },
+            LedgerPlan {
+                write_ns: -1,
+                spill_ns: -1,
+                ..good
+            },
+        ] {
+            assert!(
+                lifecycle_ledger(&bad, &trace, &params, 10).is_err(),
+                "{bad:?} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn month_long_horizon_runs_in_jumps_not_steps() {
+        // 2.6M steps, a few hundred failures: a timeline would hold
+        // millions of segments; the ledger books it near-instantly and
+        // still balances exactly.
+        let p = LedgerPlan {
+            interval_steps: 30,
+            step_ns: 1_000_000_000,
+            write_ns: 12_000_000_000,
+            spill_ns: 0,
+        };
+        let trace = FailureTrace::generate(&FailureTraceConfig {
+            seed: 9,
+            horizon_ns: 6_000_000_000_000_000,
+            mtbf_ns: 20_000_000_000_000,
+            num_devices: 512,
+            restart: DurNs(2_000_000_000),
+            repair: DurNs(600_000_000_000),
+            permanent_every: 10,
+            hazard: Hazard::Exponential,
+        })
+        .expect("trace");
+        assert!(trace.len() > 100);
+        let out =
+            lifecycle_ledger(&p, &trace, &RecoveryParams::defaults(), 2_592_000).expect("ledger");
+        out.audit().expect("audit");
+        assert!(out.failures_seen > 100);
+        assert!(out.segments.is_empty() && out.events.is_empty());
+        let goodput = out.useful_ns() as f64 / out.wall_ns as f64;
+        assert!(goodput > 0.5 && goodput < 1.0);
+    }
 }

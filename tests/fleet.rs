@@ -1,7 +1,8 @@
-//! Integration tests for the fleet-scale resilience what-if engine: the
-//! jump-walk ledger against the stepwise lifecycle on a *real* checkpoint
-//! plan, Monte Carlo determinism across worker counts, the policy-dependent
-//! Young/Daly gap, and a golden frontier report.
+//! Integration tests for the fleet-scale resilience what-if engine: Monte
+//! Carlo determinism across worker counts, the policy-dependent Young/Daly
+//! gap, and a golden frontier report. (The lifecycle ledger the engine
+//! prices with is pinned against the stepwise oracle, on this file's real
+//! checkpoint plans among others, by `tests/lifecycle_oracle.rs`.)
 //!
 //! Regenerate the golden frontier with
 //!
@@ -11,19 +12,11 @@
 
 use std::path::PathBuf;
 
-use optimus::baselines::common::SystemContext;
-use optimus::cluster::{DurNs, LinkProfile};
-use optimus::core::{run_optimus, OptimusConfig};
 use optimus::fleet::{
-    evaluate, fast_lifecycle, replica_traces, solve_on_traces, sweep_frontier, FleetReport,
-    FleetScenario, FrontierConfig, LedgerPlan,
+    evaluate, replica_traces, solve_on_traces, sweep_frontier, FleetReport, FleetScenario,
+    FrontierConfig,
 };
-use optimus::modeling::{MllmConfig, Workload};
-use optimus::parallel::ParallelPlan;
-use optimus::recovery::{
-    plan_checkpoints, simulate_lifecycle, CheckpointConfig, DegradedMode, FailureTrace,
-    FailureTraceConfig, GoodputReport, Hazard, PlacementPolicy, RecoveryParams,
-};
+use optimus::recovery::{DegradedMode, PlacementPolicy};
 
 /// A short study scenario: the synthetic month shrunk to a CI-sized
 /// horizon. All the physics (spill knee, elastic pricing, failure mix)
@@ -32,57 +25,6 @@ fn short_scenario(horizon_steps: u32) -> FleetScenario {
     let mut sc = FleetScenario::synthetic();
     sc.horizon_steps = horizon_steps;
     sc
-}
-
-#[test]
-fn jump_walk_ledger_matches_stepwise_lifecycle_on_a_real_plan() {
-    // Price a real bubble-placed checkpoint plan (claims carved from the
-    // simulated schedule, not a synthetic spill) both ways: the recovery
-    // crate's stepwise lifecycle and the fleet crate's jump-walk ledger
-    // must agree on every field of the outcome.
-    let w = Workload::new(MllmConfig::small(), 8, 16, 1);
-    let ctx = SystemContext::hopper(8).expect("cluster");
-    let ctx = ctx.with_topology(ctx.topo.with_storage(LinkProfile {
-        bandwidth: 80e9,
-        latency: 100e-6,
-    }));
-    let cfg = OptimusConfig::new(ParallelPlan::new(2, 2, 2).expect("plan"));
-    let run = run_optimus(&w, &cfg, &ctx).expect("optimus");
-    let horizon: u32 = 48;
-    for interval in [2u32, 4, 7] {
-        for policy in [
-            CheckpointConfig::bubble(interval),
-            CheckpointConfig::critical_path(interval),
-        ] {
-            let plan = plan_checkpoints(&run, cfg.llm_plan, &ctx.topo, &policy).expect("plan");
-            let horizon_ns = plan.fault_free_wall_ns(horizon) * 2;
-            let trace = FailureTrace::generate(&FailureTraceConfig {
-                seed: 2026,
-                horizon_ns: horizon_ns as u64,
-                mtbf_ns: (horizon_ns / 7) as u64,
-                num_devices: plan.num_ranks,
-                restart: DurNs::from_millis(50),
-                repair: DurNs::from_millis(800),
-                permanent_every: 3,
-                hazard: Hazard::Weibull { shape: 0.7 },
-            })
-            .expect("trace");
-            assert!(trace.len() >= 3, "want a multi-failure trace");
-            let params = RecoveryParams::defaults();
-            let slow = simulate_lifecycle(&plan, &trace, &params, horizon).expect("stepwise");
-            let fast = fast_lifecycle(&LedgerPlan::of(&plan), &trace, &params, horizon)
-                .expect("jump walk");
-            fast.audit().expect("ledger balances");
-            assert_eq!(fast.wall_ns, slow.wall_ns, "wall differs (k={interval})");
-            assert_eq!(fast.lost, slow.lost, "lost ledger differs (k={interval})");
-            assert_eq!(fast.failures_seen, slow.failures_seen);
-            assert_eq!(
-                fast.report(),
-                GoodputReport::from_outcome(&slow),
-                "goodput report differs (k={interval})"
-            );
-        }
-    }
 }
 
 #[test]

@@ -26,14 +26,14 @@ use optimus::baselines::common::SystemContext;
 use optimus::chaos::{ChaosFixture, ChaosHarness, ChaosSettings, FailureSpec, Perturbation};
 use optimus::cluster::{DurNs, LinkProfile, TimeNs};
 use optimus::core::{run_optimus, OptimusConfig, OptimusRun};
-use optimus::fleet::{fast_lifecycle, FleetScenario, LedgerPlan};
+use optimus::fleet::FleetScenario;
 use optimus::lint::InsertSet;
 use optimus::modeling::{MllmConfig, Workload};
 use optimus::parallel::ParallelPlan;
 use optimus::recovery::{
-    plan_checkpoints, plan_elastic, simulate_lifecycle, CheckpointConfig, CheckpointPlan,
-    DegradedMode, DegradedPlan, Failure, FailureKind, FailureTrace, FailureTraceConfig, Hazard,
-    PlacementPolicy, RecoveryOutcome, RecoveryParams,
+    lifecycle_ledger, plan_checkpoints, plan_elastic, simulate_lifecycle, CheckpointConfig,
+    CheckpointPlan, DegradedMode, DegradedPlan, Failure, FailureKind, FailureTrace,
+    FailureTraceConfig, Hazard, LedgerPlan, PlacementPolicy, RecoveryOutcome, RecoveryParams,
 };
 
 /// The reference implementations.
@@ -361,27 +361,6 @@ mod oracle {
     }
 }
 
-/// The ledger-only walk's result: the ledger of `simulate_lifecycle` with
-/// no timeline recorded.
-fn ledger_only(
-    plan: &CheckpointPlan,
-    trace: &FailureTrace,
-    params: &RecoveryParams,
-    horizon: u32,
-) -> RecoveryOutcome {
-    let out = fast_lifecycle(&LedgerPlan::of(plan), trace, params, horizon).expect("ledger walk");
-    RecoveryOutcome {
-        horizon_steps: out.horizon_steps,
-        step_ns: out.step_ns,
-        wall_ns: out.wall_ns,
-        lost: out.lost,
-        failures_seen: out.failures_seen,
-        recoveries_ns: out.recoveries_ns,
-        segments: Vec::new(),
-        events: Vec::new(),
-    }
-}
-
 /// Runs the oracle and the walk on one input and requires equal outcomes,
 /// an equal ledger from the ledger-only walk, and a timeline the barrier
 /// graph accepts. Returns the outcome for input-coverage assertions.
@@ -401,7 +380,8 @@ fn check(
     assert_eq!(got.wall_ns, want.wall_ns, "{what}: wall");
     assert_eq!(got.failures_seen, want.failures_seen, "{what}: failures");
     assert_eq!(got, want, "{what}: outcome");
-    let ledger = ledger_only(plan, trace, params, horizon);
+    let ledger = lifecycle_ledger(&LedgerPlan::of(plan), trace, params, horizon).expect("ledger");
+    ledger.audit().expect("ledger balances");
     assert_eq!(
         ledger,
         RecoveryOutcome {

@@ -1,7 +1,8 @@
 //! Integration tests for the checkpoint/restart recovery engine: the
 //! bubble-vs-critical-path closed loop, multi-fault determinism across plan
-//! search parallelism, the engine cross-check, and a golden recovery
-//! timeline.
+//! search parallelism, and a golden recovery timeline. (The barrier-graph
+//! cross-check of these timelines against the simulator lives in
+//! `tests/lifecycle_oracle.rs`.)
 //!
 //! Regenerate the golden timeline with
 //!
@@ -17,9 +18,9 @@ use optimus::core::{run_optimus, OptimusConfig, OptimusRun};
 use optimus::modeling::{MllmConfig, Workload};
 use optimus::parallel::ParallelPlan;
 use optimus::recovery::{
-    engine_check, plan_checkpoints, plan_elastic, simulate_lifecycle, timeline_text,
-    CheckpointConfig, CheckpointPlan, Failure, FailureKind, FailureTrace, FailureTraceConfig,
-    GoodputReport, Hazard, RecoveryParams,
+    plan_checkpoints, plan_elastic, simulate_lifecycle, timeline_text, CheckpointConfig,
+    CheckpointPlan, Failure, FailureKind, FailureTrace, FailureTraceConfig, GoodputReport, Hazard,
+    RecoveryParams,
 };
 
 const HORIZON: u32 = 24;
@@ -104,9 +105,6 @@ fn bubble_placement_beats_critical_path_under_multi_faults() {
     // The lost-work ledger balances exactly on both.
     assert_eq!(gb.useful_ns + gb.lost.total(), gb.wall_ns);
     assert_eq!(gc.useful_ns + gc.lost.total(), gc.wall_ns);
-    // And the simulator agrees with the analytic wall.
-    engine_check(&b, bubble.num_ranks).expect("engine check");
-    engine_check(&c, critical.num_ranks).expect("engine check");
 }
 
 #[test]
@@ -179,7 +177,6 @@ fn elastic_mode_beats_waiting_on_a_long_device_loss() {
         ge.goodput(),
         gw.goodput()
     );
-    engine_check(&elastic, plan.num_ranks).expect("engine check");
 }
 
 #[test]
