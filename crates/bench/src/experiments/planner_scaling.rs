@@ -12,7 +12,7 @@ use optimus_baselines::common::SystemContext;
 use optimus_core::{run_optimus, OptimusConfig};
 use optimus_modeling::Workload;
 use optimus_parallel::ParallelPlan;
-use optimus_trace::{planner_search_table, SearchTiming, TextTable};
+use optimus_trace::{planner_search_table, TextTable};
 
 /// Measured search timings at one worker count.
 #[derive(Debug, Clone)]
@@ -73,20 +73,11 @@ pub fn run() -> (String, Vec<ScalingRow>) {
             enc_plan: run.enc_plan,
             latency: run.outcome.latency,
         });
-        let timings: Vec<SearchTiming> = st
-            .per_worker
-            .iter()
-            .map(|t| SearchTiming {
-                worker: t.worker,
-                candidates: t.candidates,
-                busy_us: t.busy.as_secs_f64() * 1e6,
-            })
-            .collect();
         per_worker_reports.push_str(&format!("-- {workers} worker(s) --\n"));
         per_worker_reports.push_str(&planner_search_table(
             st.candidates,
-            st.wall.as_secs_f64() * 1e6,
-            &timings,
+            st.wall,
+            &st.per_worker,
         ));
         per_worker_reports.push('\n');
     }

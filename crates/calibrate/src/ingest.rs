@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use optimus_core::{DeviceProfile, FreeInterval, Ts};
+use optimus_core::{DeviceProfile, Ts};
 use optimus_json::Json;
 use optimus_sim::{SimResult, Stream, TaskGraph};
 
@@ -239,85 +239,17 @@ impl IngestedTrace {
     }
 
     /// Reconstructs one device's bubble profile from its compute and TP-comm
-    /// tracks, mirroring how `optimus_core` extracts profiles from a
-    /// simulation: interior bubbles are gaps between consecutive compute
-    /// spans (tagged `tp` when overlapping TP-comm traffic), comm windows are
-    /// compute spans minus TP-comm busy time, and anchors index the next
-    /// kernel on the owning stream's queue.
+    /// tracks with the planner's own builder ([`DeviceProfile::from_spans`]),
+    /// so the profile equals what `optimus_core` extracts from a simulation.
     pub fn device_profile(&self, device: u32, makespan: Ts) -> DeviceProfile {
-        let mut compute: Vec<(Ts, Ts)> = self
-            .track(device, Stream::Compute.index() as u32)
-            .iter()
-            .map(|s| (s.start, s.end))
-            .collect();
-        compute.sort_unstable();
-        let mut tp_sorted: Vec<(Ts, Ts)> = self
-            .track(device, Stream::TpComm.index() as u32)
-            .iter()
-            .map(|s| (s.start, s.end))
-            .collect();
-        tp_sorted.sort_unstable();
-        let overlaps_tp = |a: Ts, b: Ts| tp_sorted.iter().any(|&(s, e)| s < b && a < e);
-
-        if compute.is_empty() {
-            return DeviceProfile {
-                leading_end: makespan,
-                trailing_start: makespan,
-                interior: Vec::new(),
-                comm_windows: Vec::new(),
-            };
-        }
-
-        let leading_end = compute[0].0;
-        let trailing_start = compute.last().unwrap().1;
-
-        let mut interior = Vec::new();
-        for (i, w) in compute.windows(2).enumerate() {
-            let (a, b) = (w[0].1, w[1].0);
-            if b > a {
-                interior.push(FreeInterval {
-                    start: a,
-                    end: b,
-                    tp: overlaps_tp(a, b),
-                    anchor: (i + 1) as u32,
-                });
-            }
-        }
-
-        let tp_anchor = |t: Ts| tp_sorted.partition_point(|&(s, _)| s < t) as u32;
-        let mut comm_windows = Vec::new();
-        for &(start, b) in &compute {
-            let mut a = start;
-            for &(ts, te) in &tp_sorted {
-                if te <= a || ts >= b {
-                    continue;
-                }
-                if ts > a {
-                    comm_windows.push(FreeInterval {
-                        start: a,
-                        end: ts,
-                        tp: false,
-                        anchor: tp_anchor(a),
-                    });
-                }
-                a = a.max(te);
-            }
-            if b > a {
-                comm_windows.push(FreeInterval {
-                    start: a,
-                    end: b,
-                    tp: false,
-                    anchor: tp_anchor(a),
-                });
-            }
-        }
-
-        DeviceProfile {
-            leading_end,
-            trailing_start,
-            interior,
-            comm_windows,
-        }
+        let spans = |stream: Stream| -> Vec<(Ts, Ts)> {
+            let mut v: Vec<(Ts, Ts)> = (self.track(device, stream.index() as u32).iter())
+                .map(|s| (s.start, s.end))
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        DeviceProfile::from_spans(&spans(Stream::Compute), &spans(Stream::TpComm), makespan)
     }
 }
 

@@ -28,7 +28,10 @@ use std::sync::{Arc, Mutex};
 
 use optimus_baselines::common::SystemContext;
 use optimus_cluster::{DurNs, Fingerprint, FpHasher, LinkProfile};
-use optimus_core::{lowered_schedule, run_optimus, schedule_insert_set, OptimusConfig, OptimusRun};
+use optimus_core::{
+    fault_aware_replan, lowered_schedule, run_optimus, schedule_insert_set, OptimusConfig,
+    OptimusRun,
+};
 use optimus_lint::InsertSet;
 use optimus_modeling::{MllmConfig, Workload};
 use optimus_parallel::{pool, ColocationLayout, ParallelPlan};
@@ -266,28 +269,9 @@ impl ChaosHarness {
         // Horizon is irrelevant here: failure instants do not feed the
         // planner, only degradation magnitudes do.
         let model = p.fault_model(self.baseline_ns).ok()?;
-        let ctx2 = self
-            .ctx
-            .with_topology(model.degrade_topology(&self.ctx.topo));
-        let mut cfg2 = self.cfg.clone();
-        cfg2.adjust_dep_points = false;
-        cfg2.bubble_margin = self.cfg.bubble_margin.max(model.jitter_margin());
-        let scale = model.compute_scale();
         let n_mb = self.run.profile.n_microbatches() as usize;
-        if scale > 1.0 || p.mb_skew_pct > 0 {
-            let base = self
-                .cfg
-                .mb_scales
-                .clone()
-                .unwrap_or_else(|| vec![1.0; n_mb]);
-            let shift = p.mb_shift(n_mb);
-            cfg2.mb_scales = Some(
-                base.iter()
-                    .zip(&shift)
-                    .map(|(b, s)| b * s * scale.max(1.0))
-                    .collect(),
-            );
-        }
+        let shift = (p.mb_skew_pct > 0).then(|| p.mb_shift(n_mb));
+        let (ctx2, cfg2) = fault_aware_replan(&self.ctx, &self.cfg, &model, n_mb, shift.as_deref());
         let run2 = run_optimus(&self.w, &cfg2, &ctx2).ok()?;
         let analytic_ns = run2.outcome.latency;
         let graph = if run2.enc_plan.tp == run2.profile.llm_plan.tp {

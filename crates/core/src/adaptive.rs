@@ -91,6 +91,35 @@ fn sim_err(e: optimus_sim::SimError) -> OptimusError {
     OptimusError::Substrate(e.to_string())
 }
 
+/// The fault-aware re-plan setting of `cfg` on `ctx` under `faults`: link
+/// prices from the degraded topology (a rebuilt cost model), unadjusted
+/// dependency points so the re-plan can be spliced, the bubble margin
+/// widened to the worst jitter, and — when some device straggles or the
+/// microbatch loads shift — the per-microbatch encoder cost scales
+/// multiplied by the load shift (`None` is no shift) and by the worst
+/// compute slowdown.
+pub fn fault_aware_replan(
+    ctx: &SystemContext,
+    cfg: &OptimusConfig,
+    faults: &FaultModel,
+    n_mb: usize,
+    mb_shift: Option<&[f64]>,
+) -> (SystemContext, OptimusConfig) {
+    let ctx2 = ctx.with_topology(faults.degrade_topology(&ctx.topo));
+    let mut cfg2 = cfg.clone();
+    cfg2.adjust_dep_points = false;
+    cfg2.bubble_margin = cfg.bubble_margin.max(faults.jitter_margin());
+    let scale = faults.compute_scale();
+    if scale > 1.0 || mb_shift.is_some() {
+        let mut scales = cfg.mb_scales.clone().unwrap_or_else(|| vec![1.0; n_mb]);
+        if let Some(shift) = mb_shift {
+            scales = scales.iter().zip(shift).map(|(b, s)| b * s).collect();
+        }
+        cfg2.mb_scales = Some(scales.iter().map(|b| b * scale.max(1.0)).collect());
+    }
+    (ctx2, cfg2)
+}
+
 /// Runs the fault → monitor → re-plan cycle on a verifiable Optimus run.
 ///
 /// `drift_threshold` is the monitor's trip point: re-planning starts once
@@ -148,19 +177,8 @@ pub fn resilience_study(
         });
     }
 
-    // Re-plan with fault-adjusted costs: degraded link prices in a rebuilt
-    // cost model, straggler slowdown folded into the per-microbatch encoder
-    // cost scales, and the bubble margin widened against jitter.
-    let ctx2 = ctx.with_topology(faults.degrade_topology(&ctx.topo));
-    let mut cfg2 = cfg.clone();
-    cfg2.adjust_dep_points = false;
-    let scale = faults.compute_scale();
-    if scale > 1.0 {
-        let n_mb = run.profile.n_microbatches() as usize;
-        let base = cfg.mb_scales.clone().unwrap_or_else(|| vec![1.0; n_mb]);
-        cfg2.mb_scales = Some(base.iter().map(|s| s * scale).collect());
-    }
-    cfg2.bubble_margin = cfg.bubble_margin.max(faults.jitter_margin());
+    let n_mb = run.profile.n_microbatches() as usize;
+    let (ctx2, cfg2) = fault_aware_replan(ctx, cfg, faults, n_mb, None);
     // Warm-start the degraded search from the healthy winner: faults shift
     // costs, rarely the plan neighbourhood, so the healthy encoder plan is
     // the best available seed (bit-identical result to a cold search).

@@ -47,7 +47,7 @@ pub mod robustness;
 pub mod scheduler;
 pub mod verify;
 
-pub use adaptive::{fault_annotations, resilience_study, ResilienceReport};
+pub use adaptive::{fault_annotations, fault_aware_replan, resilience_study, ResilienceReport};
 pub use encoder::{EncKernel, EncoderStageWork, EncoderWork};
 pub use error::OptimusError;
 pub use fold::{
@@ -65,7 +65,7 @@ pub use optimus::{
 pub use persist::{SavedSchedule, FORMAT_VERSION, MIN_FORMAT_VERSION};
 pub use planner::{
     plan_chunks, plan_model, search_plan_chunks, search_plans, CandidateVerdict, EncoderCandidate,
-    PlanSearch, PlannerOutput, SearchChunk, SearchStats, WorkerTiming,
+    PlanSearch, PlannerOutput, SearchChunk, SearchStats,
 };
 pub use profile::{DeviceProfile, FreeInterval, LlmProfile, LlmScheduleKind, Ts};
 pub use robustness::{drift_study, jitter_study, perturb_uniform, DriftReport, RobustnessReport};

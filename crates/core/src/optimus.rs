@@ -10,7 +10,7 @@ use crate::error::OptimusError;
 use crate::memory::optimus_memory;
 use crate::planner::{
     plan_chunks, plan_model, search_plan_chunks, CandidateVerdict, EncoderCandidate, PlanSearch,
-    PlannerOutput, SearchChunk, SearchStats, WorkerTiming,
+    PlannerOutput, SearchChunk, SearchStats,
 };
 use crate::profile::{DeviceProfile, LlmProfile, Ts};
 use crate::scheduler::{BubbleScheduler, ScheduleOutcome};
@@ -357,14 +357,13 @@ fn merge_searches(candidates: &[EncoderCandidate], a: PlanSearch, b: PlanSearch)
     for t in &loser.stats.per_worker {
         match per_worker.iter_mut().find(|p| p.worker == t.worker) {
             Some(p) => {
-                p.candidates += t.candidates;
+                p.items += t.items;
                 p.busy += t.busy;
             }
             None => per_worker.push(*t),
         }
     }
     per_worker.sort_by_key(|t| t.worker);
-    let per_worker: Vec<WorkerTiming> = per_worker;
     PlanSearch {
         best: winner.best,
         best_chunk: winner.best_chunk,

@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use optimus_modeling::Workload;
-use optimus_parallel::{enumerate_encoder_plans, pool, ColocationLayout, ParallelPlan};
+use optimus_parallel::{enumerate_encoder_plans, pool, ColocationLayout, ParallelPlan, WorkerLoad};
 
 use crate::error::OptimusError;
 use crate::memory::optimus_memory;
@@ -108,17 +108,6 @@ pub enum CandidateVerdict {
     Feasible(ScheduleOutcome),
 }
 
-/// Wall-clock accounting for one search worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerTiming {
-    /// Worker index in `0..workers`.
-    pub worker: usize,
-    /// Work items this worker claimed and evaluated.
-    pub candidates: usize,
-    /// Time the worker spent evaluating (excludes spawn/join overhead).
-    pub busy: Duration,
-}
-
 /// Timing and outcome counters from one parallel plan search.
 #[derive(Debug, Clone)]
 pub struct SearchStats {
@@ -136,7 +125,7 @@ pub struct SearchStats {
     /// Wall-clock time of the whole fan-out/reduce.
     pub wall: Duration,
     /// Per-worker breakdown, ordered by worker index.
-    pub per_worker: Vec<WorkerTiming>,
+    pub per_worker: Vec<WorkerLoad>,
 }
 
 impl SearchStats {
@@ -250,17 +239,7 @@ where
     let pool_run = pool::par_map(chunks, workers, |_, chunk| {
         eval(chunk, &candidates[chunk.candidate])
     });
-    let workers = pool_run.workers;
-    let wall = pool_run.wall;
-    let per_worker: Vec<WorkerTiming> = pool_run
-        .per_worker
-        .iter()
-        .map(|t| WorkerTiming {
-            worker: t.worker,
-            candidates: t.items,
-            busy: t.busy,
-        })
-        .collect();
+    let (workers, wall, per_worker) = (pool_run.workers, pool_run.wall, pool_run.per_worker);
     // Merge in (candidate, chunk start) order so error propagation and
     // tie-breaking are independent of claiming interleave and of the order
     // the caller listed the chunks in. The pool hands results back in input
@@ -445,7 +424,7 @@ mod tests {
             assert_eq!(run.stats.feasible, base.stats.feasible);
             assert_eq!(run.stats.candidates, cands.len());
             assert_eq!(run.stats.workers, workers.min(cands.len()));
-            let claimed: usize = run.stats.per_worker.iter().map(|t| t.candidates).sum();
+            let claimed: usize = run.stats.per_worker.iter().map(|t| t.items).sum();
             assert_eq!(claimed, cands.len());
         }
     }

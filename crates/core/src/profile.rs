@@ -84,6 +84,78 @@ pub struct DeviceProfile {
 }
 
 impl DeviceProfile {
+    /// Builds a device's bubble profile from its LLM compute spans (in
+    /// queue order), its TP-comm spans (ascending) and the step makespan.
+    ///
+    /// Interior bubbles are the gaps between consecutive compute spans,
+    /// tagged `tp` when TP-comm traffic overlaps them and anchored at the
+    /// next compute kernel's queue position. Comm windows are the compute
+    /// spans minus TP-comm busy time, anchored at the position in the
+    /// TP-comm queue (the stream encoder collectives are spliced into) of
+    /// the next LLM TP kernel starting at or after the window. A device
+    /// with no compute is all leading region.
+    pub fn from_spans(compute: &[(Ts, Ts)], tp: &[(Ts, Ts)], makespan: Ts) -> DeviceProfile {
+        let (Some(&(leading_end, _)), Some(&(_, trailing_start))) =
+            (compute.first(), compute.last())
+        else {
+            return DeviceProfile {
+                leading_end: makespan,
+                trailing_start: makespan,
+                interior: Vec::new(),
+                comm_windows: Vec::new(),
+            };
+        };
+        let overlaps_tp = |a: Ts, b: Ts| tp.iter().any(|&(s, e)| s < b && a < e);
+        let tp_anchor = |t: Ts| tp.partition_point(|&(s, _)| s < t) as u32;
+
+        let mut interior = Vec::new();
+        for (i, w) in compute.windows(2).enumerate() {
+            let (a, b) = (w[0].1, w[1].0);
+            if b > a {
+                interior.push(FreeInterval {
+                    start: a,
+                    end: b,
+                    tp: overlaps_tp(a, b),
+                    anchor: (i + 1) as u32,
+                });
+            }
+        }
+
+        let mut comm_windows = Vec::new();
+        for &(start, b) in compute {
+            let mut a = start;
+            for &(ts, te) in tp {
+                if te <= a || ts >= b {
+                    continue;
+                }
+                if ts > a {
+                    comm_windows.push(FreeInterval {
+                        start: a,
+                        end: ts,
+                        tp: false,
+                        anchor: tp_anchor(a),
+                    });
+                }
+                a = a.max(te);
+            }
+            if b > a {
+                comm_windows.push(FreeInterval {
+                    start: a,
+                    end: b,
+                    tp: false,
+                    anchor: tp_anchor(a),
+                });
+            }
+        }
+
+        DeviceProfile {
+            leading_end,
+            trailing_start,
+            interior,
+            comm_windows,
+        }
+    }
+
     /// Total interior bubble capacity.
     pub fn interior_capacity(&self) -> Ts {
         self.interior.iter().map(|i| i.len()).sum()
@@ -285,82 +357,18 @@ fn extract_device(
     device: u32,
     makespan: Ts,
 ) -> DeviceProfile {
-    let compute = dag.stream_spans(result, device, Stream::Compute);
-    let tp_spans: Vec<(Ts, Ts)> = (dag.device_tasks(device).iter())
+    let compute: Vec<(Ts, Ts)> = (dag.stream_spans(result, device, Stream::Compute).iter())
+        .map(|s| (s.start.0 as Ts, s.end.0 as Ts))
+        .collect();
+    let mut tp_spans: Vec<(Ts, Ts)> = (dag.device_tasks(device).iter())
         .filter(|&&t| dag.graph().task(t).kind == TaskKind::LlmTpComm)
         .map(|&t| {
             let s = result.span(t);
             (s.start.0 as Ts, s.end.0 as Ts)
         })
         .collect();
-    let overlaps_tp = |a: Ts, b: Ts| tp_spans.iter().any(|&(s, e)| s < b && a < e);
-
-    if compute.is_empty() {
-        return DeviceProfile {
-            leading_end: makespan,
-            trailing_start: makespan,
-            interior: Vec::new(),
-            comm_windows: Vec::new(),
-        };
-    }
-
-    let leading_end = compute[0].start.0 as Ts;
-    let trailing_start = compute.last().unwrap().end.0 as Ts;
-
-    let mut interior = Vec::new();
-    for (i, w) in compute.windows(2).enumerate() {
-        let (a, b) = (w[0].end.0 as Ts, w[1].start.0 as Ts);
-        if b > a {
-            interior.push(FreeInterval {
-                start: a,
-                end: b,
-                tp: overlaps_tp(a, b),
-                anchor: (i + 1) as u32,
-            });
-        }
-    }
-
-    // Compute windows minus TP-comm busy time → encoder-comm windows.
-    // Walk merged compute spans, subtracting TP spans. Window anchors are
-    // positions in the device's *TP-comm* queue (the stream the encoder
-    // collectives are spliced into): the index of the next LLM TP kernel
-    // starting at or after the window.
-    let mut tp_sorted = tp_spans.clone();
-    tp_sorted.sort_unstable();
-    let tp_anchor = |t: Ts| tp_sorted.partition_point(|&(s, _)| s < t) as u32;
-    let mut comm_windows = Vec::new();
-    for s in compute.iter() {
-        let (mut a, b) = (s.start.0 as Ts, s.end.0 as Ts);
-        for &(ts, te) in &tp_sorted {
-            if te <= a || ts >= b {
-                continue;
-            }
-            if ts > a {
-                comm_windows.push(FreeInterval {
-                    start: a,
-                    end: ts,
-                    tp: false,
-                    anchor: tp_anchor(a),
-                });
-            }
-            a = a.max(te);
-        }
-        if b > a {
-            comm_windows.push(FreeInterval {
-                start: a,
-                end: b,
-                tp: false,
-                anchor: tp_anchor(a),
-            });
-        }
-    }
-
-    DeviceProfile {
-        leading_end,
-        trailing_start,
-        interior,
-        comm_windows,
-    }
+    tp_spans.sort_unstable();
+    DeviceProfile::from_spans(&compute, &tp_spans, makespan)
 }
 
 #[cfg(test)]

@@ -15,14 +15,12 @@
 
 use optimus_baselines::common::SystemContext;
 use optimus_modeling::Workload;
-use optimus_pipeline::lower;
-use optimus_sim::simulate;
+use optimus_sim::{simulate, TaskKind};
 use optimus_trace::quantile;
 
 use crate::error::OptimusError;
 use crate::optimus::{run_optimus, OptimusConfig, OptimusRun};
-use crate::verify::build_schedule_inserts;
-use optimus_sim::TaskKind;
+use crate::verify::lowered_schedule;
 
 /// The uniform-jitter perturbation, re-exported from `optimus-faults` — the
 /// one perturbation code path shared by this study and fault injection.
@@ -85,8 +83,7 @@ pub fn jitter_study(
                 .into(),
         ));
     }
-    let inserts = build_schedule_inserts(run, w, ctx)?;
-    let lowered = lower(&run.profile.spec, &run.profile.schedule, &inserts)?;
+    let lowered = lowered_schedule(run, w, ctx)?;
     let baseline = simulate(&lowered.graph)
         .map_err(|e| OptimusError::Substrate(e.to_string()))?
         .makespan()
@@ -157,8 +154,7 @@ pub fn drift_study(
             "drift study requires unadjusted dependency points".into(),
         ));
     }
-    let inserts = build_schedule_inserts(run, w, ctx)?;
-    let lowered = lower(&run.profile.spec, &run.profile.schedule, &inserts)?;
+    let lowered = lowered_schedule(run, w, ctx)?;
     let baseline = simulate(&lowered.graph)
         .map_err(|e| OptimusError::Substrate(e.to_string()))?
         .makespan()
@@ -192,13 +188,7 @@ pub fn drift_study(
     // carry the drifted durations), falling back to the analytic estimate
     // when the chosen encoder plan cannot be spliced exactly.
     let rescheduled_secs = if rescheduled.enc_plan.tp == rescheduled.profile.llm_plan.tp {
-        let ins = build_schedule_inserts(&rescheduled, w, ctx)?;
-        let low = lower(
-            &rescheduled.profile.spec,
-            &rescheduled.profile.schedule,
-            &ins,
-        )?;
-        simulate(&low.graph)
+        simulate(&lowered_schedule(&rescheduled, w, ctx)?.graph)
             .map_err(|e| OptimusError::Substrate(e.to_string()))?
             .makespan()
             .as_secs_f64()

@@ -105,8 +105,9 @@ pub fn verify(
 /// the combined step, without simulating it.
 ///
 /// This is the shared entry for every harness that needs the *executable*
-/// task graph of a run — the verifier, the adaptive resilience study, and
-/// the adversarial chaos search (`optimus-chaos`). Preconditions match
+/// task graph of a run — the verifier, the adaptive resilience study, the
+/// jitter and drift robustness studies, and the adversarial chaos search
+/// (`optimus-chaos`). Preconditions match
 /// [`verify`]: `TP_enc == TP_llm` (a one-lane layout the graph can express
 /// exactly) and unadjusted dependency points.
 pub fn lowered_schedule(
@@ -127,24 +128,9 @@ pub fn lowered_schedule(
                 .into(),
         ));
     }
-    let inserts = build_schedule_inserts(run, w, ctx)?;
-    Ok(lower(&run.profile.spec, &run.profile.schedule, &inserts)?)
-}
-
-/// Builds the insert set for a run, shared by [`verify`] and the
-/// robustness study.
-pub(crate) fn build_schedule_inserts(
-    run: &OptimusRun,
-    w: &Workload,
-    ctx: &SystemContext,
-) -> Result<Vec<InsertKernel>, OptimusError> {
-    if run.enc_plan.tp != run.profile.llm_plan.tp {
-        return Err(OptimusError::Infeasible(
-            "schedule splicing supports TP_enc == TP_llm layouts only".into(),
-        ));
-    }
     let work = EncoderWork::build(&w.mllm, &run.enc_plan, u64::from(w.microbatch_size), ctx)?;
-    build_inserts(run, &work)
+    let inserts = build_inserts(run, &work)?;
+    Ok(lower(&run.profile.spec, &run.profile.schedule, &inserts)?)
 }
 
 fn build_inserts(run: &OptimusRun, work: &EncoderWork) -> Result<Vec<InsertKernel>, OptimusError> {

@@ -33,5 +33,5 @@ pub use chrome::{
 pub use compact::compact_timeline;
 pub use stats::{
     bubble_table, fault_table, fault_table_with_recovery, lint_table, planner_search_table,
-    quantile, SearchTiming, TextTable,
+    quantile, TextTable,
 };

@@ -1,6 +1,9 @@
 //! Tabular reporting helpers used by the benchmark harness, plus the shared
 //! quantile function every percentile report in the workspace goes through.
 
+use std::time::Duration;
+
+use optimus_parallel::WorkerLoad;
 use optimus_sim::{BubbleBreakdown, BubbleKind};
 
 use crate::chrome::TraceAnnotation;
@@ -112,35 +115,23 @@ pub fn bubble_table(bd: &BubbleBreakdown) -> String {
     out
 }
 
-/// Per-worker timing of one planner search.
-///
-/// A crate-agnostic mirror of the core planner's per-worker stats so bench
-/// binaries can render throughput tables without a trace→core dependency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SearchTiming {
-    /// Worker index.
-    pub worker: usize,
-    /// Work items the worker claimed.
-    pub candidates: usize,
-    /// Busy time in microseconds.
-    pub busy_us: f64,
-}
-
-/// Renders a planner-search timing report: one row per worker plus a
+/// Renders a planner-search timing report: one row per pool worker plus a
 /// throughput/utilisation summary line.
 pub fn planner_search_table(
     candidates: usize,
-    wall_us: f64,
-    per_worker: &[SearchTiming],
+    wall: Duration,
+    per_worker: &[WorkerLoad],
 ) -> String {
+    let wall_us = wall.as_secs_f64() * 1e6;
     let mut t = TextTable::new(vec!["Worker", "Items", "Busy (ms)", "Util"]);
     for w in per_worker {
+        let busy_us = w.busy.as_secs_f64() * 1e6;
         t.row(vec![
             w.worker.to_string(),
-            w.candidates.to_string(),
-            format!("{:.2}", w.busy_us / 1e3),
+            w.items.to_string(),
+            format!("{:.2}", busy_us / 1e3),
             if wall_us > 0.0 {
-                format!("{:.0}%", 100.0 * w.busy_us / wall_us)
+                format!("{:.0}%", 100.0 * busy_us / wall_us)
             } else {
                 "-".to_string()
             },
@@ -338,18 +329,18 @@ mod tests {
     #[test]
     fn search_table_reports_throughput() {
         let timings = [
-            SearchTiming {
+            WorkerLoad {
                 worker: 0,
-                candidates: 3,
-                busy_us: 900.0,
+                items: 3,
+                busy: Duration::from_micros(900),
             },
-            SearchTiming {
+            WorkerLoad {
                 worker: 1,
-                candidates: 2,
-                busy_us: 850.0,
+                items: 2,
+                busy: Duration::from_micros(850),
             },
         ];
-        let s = planner_search_table(5, 1000.0, &timings);
+        let s = planner_search_table(5, Duration::from_micros(1000), &timings);
         assert!(s.contains("5 candidates in 1.00 ms over 2 workers"));
         assert!(s.contains("5000.0 candidates/s"));
         assert!(s.contains("90%"));
@@ -357,7 +348,7 @@ mod tests {
 
     #[test]
     fn search_table_handles_zero_wall() {
-        let s = planner_search_table(0, 0.0, &[]);
+        let s = planner_search_table(0, Duration::ZERO, &[]);
         assert!(s.contains("0 candidates"));
         assert!(s.contains("0.0 candidates/s"));
     }

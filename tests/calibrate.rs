@@ -149,18 +149,30 @@ fn malformed_traces_are_typed_errors_through_the_facade() {
 fn ingested_bubble_profile_matches_core_extraction() {
     let w = small_workload();
     let ctx = SystemContext::hopper(8).unwrap();
-    let plan = ParallelPlan::new(2, 2, 2).unwrap();
-    let p = LlmProfile::build_with(&w, &plan, &ctx, false).unwrap();
+    // One-chunk 1F1B and the interleaved schedule (two virtual stages per
+    // device), whose compute queues interleave chunks.
+    for plan in [
+        ParallelPlan::new(2, 2, 2).unwrap(),
+        ParallelPlan::with_vpp(2, 2, 2, 2).unwrap(),
+    ] {
+        let p = LlmProfile::build_with(&w, &plan, &ctx, false).unwrap();
 
-    // Round-trip the LLM-only simulation through chrome text, then rebuild
-    // each device's bubble profile from the recovered spans: it must equal
-    // the profile the planner extracted from the simulation directly.
-    let text = trace_text(&p.lowered.graph, &p.result);
-    let trace = IngestedTrace::parse_chrome(&text).unwrap();
-    assert_eq!(p.devices.len(), plan.pp as usize);
-    for (d, expected) in p.devices.iter().enumerate() {
-        let got = trace.device_profile(d as u32, p.makespan);
-        assert_eq!(&got, expected, "device {d} profile diverged");
+        // Round-trip the LLM-only simulation through chrome text, then
+        // rebuild each device's bubble profile from the recovered spans: it
+        // must equal the profile the planner extracted from the simulation
+        // directly.
+        let text = trace_text(&p.lowered.graph, &p.result);
+        let trace = IngestedTrace::parse_chrome(&text).unwrap();
+        assert_eq!(p.devices.len(), plan.pp as usize);
+        for (d, expected) in p.devices.iter().enumerate() {
+            let got = trace.device_profile(d as u32, p.makespan);
+            assert_eq!(
+                &got, expected,
+                "vpp {} device {d} profile diverged",
+                plan.vpp
+            );
+            assert!(!expected.interior.is_empty() && !expected.comm_windows.is_empty());
+        }
     }
 }
 

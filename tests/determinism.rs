@@ -83,7 +83,7 @@ fn parallel_search_is_worker_count_invariant() {
         assert_eq!(run.search.feasible, baseline.search.feasible);
         assert_eq!(run.search.work_items, baseline.search.work_items);
         // Worker accounting is coherent: claimed items cover the fan-out.
-        let claimed: usize = run.search.per_worker.iter().map(|t| t.candidates).sum();
+        let claimed: usize = run.search.per_worker.iter().map(|t| t.items).sum();
         assert_eq!(claimed, run.search.work_items);
         assert!(run.search.workers >= 1 && run.search.workers <= workers);
     }
