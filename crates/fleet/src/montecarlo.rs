@@ -10,7 +10,7 @@
 
 use optimus_parallel::par_map;
 use optimus_recovery::{
-    lifecycle_ledger, FailureTrace, GoodputReport, LedgerPlan, LostWork, RecoveryParams,
+    goodput_ratio, lifecycle_ledger, FailureTrace, LedgerPlan, LostWork, RecoveryParams,
 };
 use optimus_trace::quantile;
 
@@ -104,7 +104,7 @@ pub fn evaluate(
             replica: i as u32,
             failures: out.failures_seen,
             wall_ns: out.wall_ns,
-            goodput: GoodputReport::from_outcome(&out).goodput(),
+            goodput: goodput_ratio(out.useful_ns(), out.wall_ns),
             lost: out.lost,
         })
     });

@@ -6,6 +6,16 @@ use optimus_trace::quantile;
 
 use crate::lifecycle::{LostWork, RecoveryOutcome};
 
+/// Goodput: useful work over wall time (`0` for an empty wall). The one
+/// formula behind [`GoodputReport::goodput`] and the fleet's per-replica
+/// goodput, which skips building a report.
+pub fn goodput_ratio(useful_ns: i64, wall_ns: i64) -> f64 {
+    if wall_ns <= 0 {
+        return 0.0;
+    }
+    useful_ns as f64 / wall_ns as f64
+}
+
 /// The headline result of one recovery study: how much of the wall clock
 /// was useful training, where the rest went, and how fast recoveries were.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,10 +55,7 @@ impl GoodputReport {
 
     /// Goodput: useful work / wall time, in `(0, 1]`.
     pub fn goodput(&self) -> f64 {
-        if self.wall_ns <= 0 {
-            return 0.0;
-        }
-        self.useful_ns as f64 / self.wall_ns as f64
+        goodput_ratio(self.useful_ns, self.wall_ns)
     }
 
     /// Recovery-time quantile (nearest-rank), ns. `NaN` with no failures.

@@ -50,7 +50,7 @@ pub use failure::{
     ClassedFailure, ClassedTrace, ComponentSpec, Failure, FailureKind, FailureTrace,
     FailureTraceConfig, Hazard,
 };
-pub use goodput::GoodputReport;
+pub use goodput::{goodput_ratio, GoodputReport};
 pub use lifecycle::{
     lifecycle_ledger, simulate_lifecycle, timeline_text, LedgerPlan, LostWork, RecoveryOutcome,
     RecoveryParams, Segment, SegmentKind,

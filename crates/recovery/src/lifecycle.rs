@@ -671,7 +671,7 @@ mod tests {
         out.audit().expect("audit");
         assert!(out.failures_seen > 100);
         assert!(out.segments.is_empty() && out.events.is_empty());
-        let goodput = out.useful_ns() as f64 / out.wall_ns as f64;
+        let goodput = crate::goodput_ratio(out.useful_ns(), out.wall_ns);
         assert!(goodput > 0.5 && goodput < 1.0);
     }
 }
