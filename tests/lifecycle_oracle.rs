@@ -624,6 +624,17 @@ fn degraded_boundary_cases_match_oracle() {
             "a repair that lands during the reshard",
             vec![permanent(6_100, 250)],
         ),
+        // The loss at 6100 truncates step 5; the restart ends at 10100,
+        // the replay of step 4 at 11400, and degraded steps then end at
+        // 12700, 14000 and (with the step-8 spill) 15800.
+        (
+            "a repair that lands exactly on a step boundary",
+            vec![permanent(6_100, 7_900)],
+        ),
+        (
+            "a repair that lands exactly after a spill",
+            vec![permanent(6_100, 9_700)],
+        ),
     ];
     let mut degraded_steps = 0;
     for (what, failures) in cases {
