@@ -94,6 +94,9 @@ impl DeviceProfile {
     /// TP-comm queue (the stream encoder collectives are spliced into) of
     /// the next LLM TP kernel starting at or after the window. A device
     /// with no compute is all leading region.
+    // Inlined into the profile build: called out of line, the scans below
+    // made the 8-GPU profile about 40% slower than the same loops inside it.
+    #[inline]
     pub fn from_spans(compute: &[(Ts, Ts)], tp: &[(Ts, Ts)], makespan: Ts) -> DeviceProfile {
         let (Some(&(leading_end, _)), Some(&(_, trailing_start))) =
             (compute.first(), compute.last())
