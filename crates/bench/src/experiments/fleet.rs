@@ -24,8 +24,11 @@ use optimus_fleet::{
     evaluate, replica_traces, solve_on_traces, sweep_frontier, FleetReport, FleetScenario,
     FrontierConfig, SolverResult,
 };
+use optimus_json::Json;
 use optimus_recovery::{ClassedTrace, DegradedMode, PlacementPolicy};
 use optimus_trace::{write_fault_event_trace, TextTable, TraceAnnotation};
+
+use super::rounded;
 
 /// Goodput of the exact optimum against halving/doubling its interval —
 /// the independent local-optimality check the smoke gate asserts.
@@ -63,16 +66,17 @@ pub struct Study {
 impl Study {
     /// Renders the study as a `BENCH_fleet.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"fleet_whatif\",\n");
-        out.push_str(&format!(
-            "  \"mtbf_rel_err\": {:.4},\n  \"calibration_events\": {},\n  \
-             \"worker_invariant\": {},\n",
-            self.mtbf_rel_err, self.calibration_events, self.worker_invariant
-        ));
-        out.push_str("  \"report\": ");
-        out.push_str(&self.report.to_json().to_compact());
-        out.push_str("\n}\n");
-        out
+        let doc = Json::obj(vec![
+            ("experiment", Json::from("fleet_whatif")),
+            ("mtbf_rel_err", rounded(self.mtbf_rel_err, 4)),
+            (
+                "calibration_events",
+                Json::from(self.calibration_events as u64),
+            ),
+            ("worker_invariant", Json::from(self.worker_invariant)),
+            ("report", self.report.to_json()),
+        ]);
+        doc.to_pretty() + "\n"
     }
 }
 

@@ -23,3 +23,10 @@ pub mod table1;
 pub mod table4;
 pub mod table5;
 pub mod table7;
+
+/// `x` rounded to `places` decimals as a JSON number: the precision the
+/// checked-in `BENCH_*.json` files record.
+pub(crate) fn rounded(x: f64, places: i32) -> optimus_json::Json {
+    let scale = 10f64.powi(places);
+    optimus_json::Json::from((x * scale).round() / scale)
+}

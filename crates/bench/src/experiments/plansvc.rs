@@ -23,10 +23,13 @@ use optimus_baselines::common::SystemContext;
 use optimus_cluster::LinkClass;
 use optimus_core::run_optimus;
 use optimus_core::OptimusConfig;
+use optimus_json::Json;
 use optimus_modeling::{MllmConfig, TraceConfig, TransformerConfig, Workload};
 use optimus_parallel::ParallelPlan;
 use optimus_plansvc::{PlanDelta, PlanService, QueryKind};
 use optimus_trace::TextTable;
+
+use super::rounded;
 
 /// Warm-start accounting against the equivalent cold sweep.
 #[derive(Debug, Clone)]
@@ -73,34 +76,41 @@ pub struct Study {
 impl Study {
     /// Renders the study as a `BENCH_plansvc.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"plan_service\",\n");
-        out.push_str(&format!(
-            "  \"cold_ms\": {:.3},\n  \"hit_us\": {:.3},\n",
-            self.cold_ms, self.hit_us
-        ));
-        out.push_str(&format!(
-            "  \"hit_speedup\": {:.1},\n  \"hit_identical\": {},\n",
-            self.hit_speedup, self.hit_identical
-        ));
-        out.push_str(&format!(
-            "  \"warm\": {{\"cold_items\": {}, \"warm_items\": {}, \
-             \"candidates\": {}, \"pruned\": {}, \"identical\": {}}},\n",
-            self.warm.cold_items,
-            self.warm.warm_items,
-            self.warm.candidates,
-            self.warm.pruned,
-            self.warm.identical
-        ));
-        out.push_str(&format!(
-            "  \"incremental\": {{\"evaluated\": {}, \"identical\": {}}},\n",
-            self.inc_evaluated, self.inc_identical
-        ));
-        out.push_str(&format!(
-            "  \"throughput\": {{\"queries\": {}, \"workers\": {}, \
-             \"qps\": {:.1}, \"all_hits\": {}}}\n}}\n",
-            self.batch_queries, self.batch_workers, self.qps, self.batch_all_hits
-        ));
-        out
+        let count = |n: usize| Json::from(n as u64);
+        let doc = Json::obj(vec![
+            ("experiment", Json::from("plan_service")),
+            ("cold_ms", rounded(self.cold_ms, 3)),
+            ("hit_us", rounded(self.hit_us, 3)),
+            ("hit_speedup", rounded(self.hit_speedup, 1)),
+            ("hit_identical", Json::from(self.hit_identical)),
+            (
+                "warm",
+                Json::obj(vec![
+                    ("cold_items", count(self.warm.cold_items)),
+                    ("warm_items", count(self.warm.warm_items)),
+                    ("candidates", count(self.warm.candidates)),
+                    ("pruned", count(self.warm.pruned)),
+                    ("identical", Json::from(self.warm.identical)),
+                ]),
+            ),
+            (
+                "incremental",
+                Json::obj(vec![
+                    ("evaluated", count(self.inc_evaluated)),
+                    ("identical", Json::from(self.inc_identical)),
+                ]),
+            ),
+            (
+                "throughput",
+                Json::obj(vec![
+                    ("queries", count(self.batch_queries)),
+                    ("workers", count(self.batch_workers)),
+                    ("qps", rounded(self.qps, 1)),
+                    ("all_hits", Json::from(self.batch_all_hits)),
+                ]),
+            ),
+        ]);
+        doc.to_pretty() + "\n"
     }
 }
 

@@ -2,7 +2,7 @@
 //! per-stream busy timelines.
 //!
 //! The ingester accepts any trace in the subset of the Chrome-trace format
-//! that `optimus_trace::write_chrome_trace_with_annotations` emits — complete
+//! that `optimus_trace::write_chrome_trace` emits — complete
 //! (`"ph":"X"`) duration events on stream tracks plus thread-scoped instant
 //! (`"ph":"i"`) events on the annotation track — and is the round-trip
 //! inverse of that writer: timestamps are µs floats in the file and are
@@ -108,7 +108,7 @@ fn get_str(ev: &Json, key: &str, index: usize) -> Result<String, CalibrateError>
 
 impl IngestedTrace {
     /// Parses a Chrome-trace JSON array (the format written by
-    /// `optimus_trace::write_chrome_trace_with_annotations`).
+    /// `optimus_trace::write_chrome_trace`).
     pub fn parse_chrome(text: &str) -> Result<IngestedTrace, CalibrateError> {
         let root = Json::parse(text)?;
         let events = root.as_arr().map_err(|_| CalibrateError::Format {
@@ -253,19 +253,14 @@ impl IngestedTrace {
     }
 }
 
-/// Stream/track display name used in trace categories and fidelity tables.
+/// Stream/track display name used in trace categories and fidelity tables:
+/// the writer's category of track `tid` ([`optimus_trace::TRACK_CATEGORIES`]),
+/// `"other"` past them.
 pub fn stream_name(tid: u32) -> &'static str {
-    match tid {
-        0 => "compute",
-        1 => "tp_comm",
-        2 => "p2p",
-        3 => "dp_comm",
-        4 => "enc_p2p",
-        5 => "annot",
-        6 => "recovery",
-        7 => "fill",
-        _ => "other",
-    }
+    optimus_trace::TRACK_CATEGORIES
+        .get(tid as usize)
+        .copied()
+        .unwrap_or("other")
 }
 
 #[cfg(test)]
@@ -308,7 +303,7 @@ mod tests {
     fn round_trips_own_chrome_output() {
         let (g, r) = two_device_graph();
         let mut buf = Vec::new();
-        optimus_trace::write_chrome_trace(&g, &r, &mut buf).unwrap();
+        optimus_trace::write_chrome_trace(&g, &r, &[], &[], &[], &mut buf).unwrap();
         let parsed = IngestedTrace::parse_chrome(std::str::from_utf8(&buf).unwrap()).unwrap();
         assert_eq!(parsed, IngestedTrace::from_simulation(&g, &r));
         assert_eq!(parsed.num_spans(), g.len());
@@ -319,7 +314,7 @@ mod tests {
     fn truncated_json_is_a_typed_error() {
         let (g, r) = two_device_graph();
         let mut buf = Vec::new();
-        optimus_trace::write_chrome_trace(&g, &r, &mut buf).unwrap();
+        optimus_trace::write_chrome_trace(&g, &r, &[], &[], &[], &mut buf).unwrap();
         let text = std::str::from_utf8(&buf).unwrap();
         let truncated = &text[..text.len() - 10];
         assert!(matches!(
@@ -405,7 +400,7 @@ mod tests {
             detail: "slowdown 1.5x".into(),
         }];
         let mut buf = Vec::new();
-        optimus_trace::write_chrome_trace_with_annotations(&g, &r, &ann, &mut buf).unwrap();
+        optimus_trace::write_chrome_trace(&g, &r, &ann, &[], &[], &mut buf).unwrap();
         let t = IngestedTrace::parse_chrome(std::str::from_utf8(&buf).unwrap()).unwrap();
         assert_eq!(t.annotations.len(), 1);
         let a = &t.annotations[0];
@@ -432,8 +427,7 @@ mod tests {
             detail: "to ckpt 2".into(),
         }];
         let mut buf = Vec::new();
-        optimus_trace::write_chrome_trace_with_recovery(&g, &r, &faults, &recovery, &mut buf)
-            .unwrap();
+        optimus_trace::write_chrome_trace(&g, &r, &faults, &recovery, &[], &mut buf).unwrap();
         let t = IngestedTrace::parse_chrome(std::str::from_utf8(&buf).unwrap()).unwrap();
         let cats: Vec<&str> = t.annotations.iter().map(|a| a.cat.as_str()).collect();
         assert_eq!(cats, vec!["fault", "recovery"]);
@@ -441,6 +435,7 @@ mod tests {
         let legacy = r#"[{"name":"x","ph":"i","s":"t","ts":1,"pid":0,"tid":5}]"#;
         let t = IngestedTrace::parse_chrome(legacy).unwrap();
         assert_eq!(t.annotations[0].cat, "");
+        assert_eq!(stream_name(5), "fault");
         assert_eq!(stream_name(6), "recovery");
     }
 

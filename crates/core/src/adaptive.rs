@@ -21,7 +21,7 @@ use optimus_sim::simulate;
 use optimus_trace::TraceAnnotation;
 
 use crate::error::OptimusError;
-use crate::optimus::{run_optimus_hinted, OptimusConfig, OptimusRun};
+use crate::optimus::{run_optimus_seeded, OptimusConfig, OptimusRun};
 use crate::verify::lowered_schedule;
 
 /// Outcome of one fault → monitor → re-plan cycle.
@@ -182,7 +182,7 @@ pub fn resilience_study(
     // Warm-start the degraded search from the healthy winner: faults shift
     // costs, rarely the plan neighbourhood, so the healthy encoder plan is
     // the best available seed (bit-identical result to a cold search).
-    let replanned = run_optimus_hinted(w, &cfg2, &ctx2, Some(run.enc_plan))?;
+    let replanned = run_optimus_seeded(w, &cfg2, &ctx2, &[run.enc_plan])?;
 
     // Evaluate the re-planned schedule under the *same* fault model. The
     // residual injection skips the degraded links the re-plan already priced,

@@ -59,13 +59,11 @@ pub use lint::{
     schedule_dep_points, schedule_insert_set, LintMode,
 };
 pub use memory::{colocated_model_state_bytes, colocation_overhead_bytes, optimus_memory};
-pub use optimus::{
-    run_optimus, run_optimus_hinted, run_optimus_seeded, OptimusConfig, OptimusRun, WarmStart,
-};
+pub use optimus::{run_optimus, run_optimus_seeded, OptimusConfig, OptimusRun, WarmStart};
 pub use persist::{SavedSchedule, FORMAT_VERSION, MIN_FORMAT_VERSION};
 pub use planner::{
-    plan_chunks, plan_model, search_plan_chunks, search_plans, CandidateVerdict, EncoderCandidate,
-    PlanSearch, PlannerOutput, SearchChunk, SearchStats,
+    plan_chunks, plan_model, search_plan_chunks, CandidateVerdict, EncoderCandidate, PlanSearch,
+    PlannerOutput, SearchChunk, SearchStats,
 };
 pub use profile::{DeviceProfile, FreeInterval, LlmProfile, LlmScheduleKind, Ts};
 pub use robustness::{drift_study, jitter_study, perturb_uniform, DriftReport, RobustnessReport};

@@ -9,11 +9,11 @@ use crate::encoder::EncoderWork;
 use crate::error::OptimusError;
 use crate::memory::optimus_memory;
 use crate::planner::{
-    plan_chunks, plan_model, search_plan_chunks, CandidateVerdict, EncoderCandidate, PlanSearch,
-    PlannerOutput, SearchChunk, SearchStats,
+    plan_chunks, plan_model, search_key, search_plan_chunks, CandidateVerdict, EncoderCandidate,
+    PlanSearch, PlannerOutput, SearchChunk, SearchStats,
 };
 use crate::profile::{DeviceProfile, LlmProfile, Ts};
-use crate::scheduler::{BubbleScheduler, ScheduleOutcome};
+use crate::scheduler::{partition_count, BubbleScheduler, ScheduleOutcome};
 
 /// Optimus configuration knobs.
 #[derive(Debug, Clone)]
@@ -96,7 +96,7 @@ impl OptimusConfig {
     }
 }
 
-/// Accounting for a warm-started plan search (see [`run_optimus_hinted`]).
+/// Accounting for a warm-started plan search (see [`run_optimus_seeded`]).
 ///
 /// Warm start changes *how much* of the candidate space is swept, never the
 /// answer: pruning uses a work-conservation lower bound that is strict, so
@@ -142,7 +142,7 @@ pub struct OptimusRun {
     /// Timing and counters from the parallel plan search.
     pub search: SearchStats,
     /// Warm-start accounting when the run was seeded via
-    /// [`run_optimus_hinted`]; `None` for a cold search.
+    /// [`run_optimus_seeded`]; `None` for a cold search.
     pub warm: Option<WarmStart>,
     /// Static-analysis report for the chosen schedule (empty when the lint
     /// mode is `Off`).
@@ -167,12 +167,44 @@ fn device_idle_total(d: &DeviceProfile, makespan: Ts) -> Ts {
     d.leading_end + (makespan - d.trailing_start) + d.interior_capacity()
 }
 
-/// Lower bound on the best step latency any partition of this encoder
-/// candidate can achieve, or `None` when no bound applies (the candidate is
-/// then swept normally). Three families of constraints are combined; every
-/// feasible schedule satisfies all of them, so a candidate whose bound
-/// *strictly* exceeds a feasible incumbent latency can never beat it under
-/// the search's total order (latency first) and is safe to skip.
+/// Builds candidate `cand`'s encoder work — frozen-encoder or full, per
+/// `cfg.frozen_encoder` — and its bubble scheduler with the configured
+/// margin, slack and microbatch scales, and runs `f` on the scheduler. The
+/// outer `Err` is a failed encoder build, the inner one a scheduler the
+/// configuration cannot set up.
+fn with_candidate<R>(
+    w: &Workload,
+    cfg: &OptimusConfig,
+    ctx: &SystemContext,
+    profile: &LlmProfile,
+    cand: &EncoderCandidate,
+    f: impl FnOnce(&BubbleScheduler<'_>) -> R,
+) -> Result<Result<R, OptimusError>, OptimusError> {
+    let mb = u64::from(w.microbatch_size);
+    let work = if cfg.frozen_encoder {
+        EncoderWork::build_frozen(&w.mllm, &cand.plan, mb, ctx)?
+    } else {
+        EncoderWork::build(&w.mllm, &cand.plan, mb, ctx)?
+    };
+    let scheduler = BubbleScheduler::new(profile, &work, &cand.layout).and_then(|s| {
+        let s = s
+            .with_margin(cfg.bubble_margin)
+            .with_slack(cfg.bubble_slack);
+        match &cfg.mb_scales {
+            Some(sc) => s.with_scales(sc.clone()),
+            None => Ok(s),
+        }
+    });
+    Ok(scheduler.map(|s| f(&s)))
+}
+
+/// Lower bound on the best step latency any partition of the scheduler's
+/// encoder candidate can achieve, or `None` when no bound applies (the
+/// candidate is then swept normally). Three families of constraints are
+/// combined; every feasible schedule satisfies all of them, so a candidate
+/// whose bound *strictly* exceeds a feasible incumbent latency can never
+/// beat it under the search's total order (latency first) and is safe to
+/// skip.
 ///
 /// Every outcome the scheduler emits has `latency = prefix + makespan +
 /// suffix` and passes `CheckEncLLMDep`: the i-th smallest encoder-forward
@@ -207,21 +239,10 @@ fn device_idle_total(d: &DeviceProfile, makespan: Ts) -> Ts {
 /// most generous device supplies the idle side, and each microbatch's
 /// rounded kernel sum is under-counted by its kernel count (placed kernels
 /// round to the nearest ns, so each may round down by at most half a ns).
-fn candidate_latency_bound(
-    w: &Workload,
-    cfg: &OptimusConfig,
-    ctx: &SystemContext,
-    profile: &LlmProfile,
-    cand: &EncoderCandidate,
-) -> Option<Ts> {
-    let mb = u64::from(w.microbatch_size);
-    let work = if cfg.frozen_encoder {
-        EncoderWork::build_frozen(&w.mllm, &cand.plan, mb, ctx).ok()?
-    } else {
-        EncoderWork::build(&w.mllm, &cand.plan, mb, ctx).ok()?
-    };
+fn candidate_latency_bound(sched: &BubbleScheduler<'_>) -> Option<Ts> {
+    let (profile, work) = (sched.profile, sched.work);
     let n_mb = profile.n_microbatches() as usize;
-    let m = cand.layout.pipelines_per_llm_pipeline() as usize;
+    let m = sched.layout.pipelines_per_llm_pipeline() as usize;
     if m == 0 || n_mb < m {
         return None; // the sweep itself reports the infeasibility
     }
@@ -269,11 +290,7 @@ fn candidate_latency_bound(
     let p2p_hops = (work.stages.len() as Ts - 1) * profile.p2p_margin.0 as Ts;
     let (chain_f, chain_f_k) = serial(true);
     let (chain_b, chain_b_k) = serial(false);
-    let mut scales: Vec<f64> = match &cfg.mb_scales {
-        Some(sc) if sc.len() == n_mb => sc.clone(),
-        Some(_) => return None,
-        None => vec![1.0; n_mb],
-    };
+    let mut scales = sched.mb_scales.clone().unwrap_or_else(|| vec![1.0; n_mb]);
     scales.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     // One microbatch's under-counted contribution at a given scale.
     let floor_work =
@@ -337,18 +354,17 @@ fn candidate_latency_bound(
     Some(makespan + global.max(prefix_lb + suffix_lb))
 }
 
-/// Merges two disjoint partial sweeps into one [`PlanSearch`], reducing the
-/// incumbents by the same total-order key the engine uses — (latency, plan
-/// tuple, candidate, chunk start) — so the merged winner equals what one
-/// sweep over the union of both chunk sets would have returned.
+/// Merges two partial sweeps over disjoint candidate sets into one
+/// [`PlanSearch`], reducing the incumbents by the engine's own key — (latency,
+/// plan tuple, candidate). The two winners are different candidates, so the
+/// key orders them strictly and the merged winner equals what one sweep over
+/// the union of both chunk sets would have returned.
 fn merge_searches(candidates: &[EncoderCandidate], a: PlanSearch, b: PlanSearch) -> PlanSearch {
-    let full_key = |s: &PlanSearch| {
+    let key = |s: &PlanSearch| {
         let (c, o) = s.best.as_ref()?;
-        let (_, lo) = s.best_chunk?;
-        let p = candidates[*c].plan;
-        Some((o.latency, p.pp, p.tp, p.dp, p.vpp, *c, lo))
+        Some(search_key(candidates, *c, o))
     };
-    let (winner, loser) = match (full_key(&a), full_key(&b)) {
+    let (winner, loser) = match (key(&a), key(&b)) {
         (Some(ka), Some(kb)) if kb < ka => (b, a),
         (None, Some(_)) => (b, a),
         _ => (a, b),
@@ -366,7 +382,6 @@ fn merge_searches(candidates: &[EncoderCandidate], a: PlanSearch, b: PlanSearch)
     per_worker.sort_by_key(|t| t.worker);
     PlanSearch {
         best: winner.best,
-        best_chunk: winner.best_chunk,
         stats: SearchStats {
             workers: winner.stats.workers.max(loser.stats.workers),
             candidates: candidates.len(),
@@ -379,28 +394,14 @@ fn merge_searches(candidates: &[EncoderCandidate], a: PlanSearch, b: PlanSearch)
     }
 }
 
-/// Runs Optimus end to end (Algorithm 1).
+/// Runs Optimus end to end (Algorithm 1): [`run_optimus_seeded`] with no
+/// hints, a cold sweep of every candidate.
 pub fn run_optimus(
     w: &Workload,
     cfg: &OptimusConfig,
     ctx: &SystemContext,
 ) -> Result<OptimusRun, OptimusError> {
-    run_optimus_hinted(w, cfg, ctx, None)
-}
-
-/// Runs Optimus end to end, optionally warm-starting the candidate search
-/// from a previously winning encoder plan. Convenience wrapper around
-/// [`run_optimus_seeded`] for the common single-hint case.
-pub fn run_optimus_hinted(
-    w: &Workload,
-    cfg: &OptimusConfig,
-    ctx: &SystemContext,
-    hint: Option<ParallelPlan>,
-) -> Result<OptimusRun, OptimusError> {
-    match hint {
-        Some(h) => run_optimus_seeded(w, cfg, ctx, &[h]),
-        None => run_optimus_seeded(w, cfg, ctx, &[]),
-    }
+    run_optimus_seeded(w, cfg, ctx, &[])
 }
 
 /// Runs Optimus end to end, warm-starting the candidate search from a set
@@ -438,45 +439,23 @@ pub fn run_optimus_seeded(
     // enumeration, and sweeps only its slice of it. Chunking bounds the
     // cost of the largest item so one expensive candidate cannot cap the
     // speedup; the engine's deterministic reduction makes the winner
-    // identical to a sequential sweep for any worker count.
+    // identical to a sequential sweep for any worker count. An infeasible
+    // candidate counts 0 partitions and gets one item, which reports it.
     const PARTITIONS_PER_ITEM: usize = 8;
     let chunks = plan_chunks(&planner.candidates, PARTITIONS_PER_ITEM, |i| {
         let m = planner.candidates[i].layout.pipelines_per_llm_pipeline();
-        let total = optimus_parallel::composition_count(n_mb, m);
-        if n_mb < m || total == 0 {
-            1 // one item, which will report the infeasibility
-        } else {
-            total.min(cfg.max_partitions.max(1) as u128) as usize
-        }
+        partition_count(n_mb, m, cfg.max_partitions)
     });
     let eval =
         |chunk: &SearchChunk, cand: &EncoderCandidate| -> Result<CandidateVerdict, OptimusError> {
-            let mb = u64::from(w.microbatch_size);
-            let built = if cfg.frozen_encoder {
-                EncoderWork::build_frozen(&w.mllm, &cand.plan, mb, ctx)
-            } else {
-                EncoderWork::build(&w.mllm, &cand.plan, mb, ctx)
-            };
-            let Ok(work) = built else {
+            let Ok(verdict) = with_candidate(w, cfg, ctx, &profile, cand, |scheduler| {
+                let partitions = scheduler.candidate_partitions(cfg.max_partitions).ok()?;
+                let slice = partitions.get(chunk.lo..chunk.hi.min(partitions.len()))?;
+                scheduler.schedule_slice(slice, cfg.fine_grained)
+            }) else {
                 return Ok(CandidateVerdict::BuildFailed);
             };
-            let mut scheduler = BubbleScheduler::new(&profile, &work, &cand.layout)?
-                .with_margin(cfg.bubble_margin)
-                .with_slack(cfg.bubble_slack);
-            if let Some(sc) = &cfg.mb_scales {
-                scheduler = scheduler.with_scales(sc.clone())?;
-            }
-            let Ok(partitions) = scheduler.candidate_partitions(cfg.max_partitions) else {
-                return Ok(CandidateVerdict::Infeasible);
-            };
-            let hi = chunk.hi.min(partitions.len());
-            if chunk.lo >= hi {
-                return Ok(CandidateVerdict::Infeasible);
-            }
-            match scheduler.schedule_slice(&partitions[chunk.lo..hi], cfg.fine_grained) {
-                Some(outcome) => Ok(CandidateVerdict::Feasible(outcome)),
-                None => Ok(CandidateVerdict::Infeasible),
-            }
+            Ok(verdict?.map_or(CandidateVerdict::Infeasible, CandidateVerdict::Feasible))
         };
     // Hints that match no candidate are dropped; duplicates keep their
     // first occurrence so the seeding order stays the caller's.
@@ -513,7 +492,9 @@ pub fn run_optimus_seeded(
                     if hint_idx.contains(&i) {
                         continue;
                     }
-                    if let Some(bound) = candidate_latency_bound(w, cfg, ctx, &profile, cand) {
+                    let bound =
+                        with_candidate(w, cfg, ctx, &profile, cand, candidate_latency_bound);
+                    if let Ok(Ok(Some(bound))) = bound {
                         if bound > lat {
                             keep[i] = false;
                             pruned_by_bound += 1;
@@ -550,28 +531,14 @@ pub fn run_optimus_seeded(
     let (best_idx, outcome) = search.best.ok_or_else(|| {
         OptimusError::Infeasible("no encoder plan produced a feasible schedule".into())
     })?;
-    let enc_plan: ParallelPlan = planner.candidates[best_idx].plan;
+    let best = &planner.candidates[best_idx];
+    let enc_plan = best.plan;
     // Coarse-only efficiency for the chosen plan (Table 7's Eff_coarse).
-    let eff_coarse = {
-        let mb = u64::from(w.microbatch_size);
-        let work = if cfg.frozen_encoder {
-            EncoderWork::build_frozen(&w.mllm, &enc_plan, mb, ctx)?
-        } else {
-            EncoderWork::build(&w.mllm, &enc_plan, mb, ctx)?
-        };
-        let layout = optimus_parallel::ColocationLayout::new(cfg.llm_plan, enc_plan)
-            .map_err(|e| OptimusError::Setup(e.to_string()))?;
-        let mut sched = BubbleScheduler::new(&profile, &work, &layout)?
-            .with_margin(cfg.bubble_margin)
-            .with_slack(cfg.bubble_slack);
-        if let Some(sc) = &cfg.mb_scales {
-            sched = sched.with_scales(sc.clone())?;
-        }
+    let eff_coarse = with_candidate(w, cfg, ctx, &profile, best, |sched| {
         sched
             .schedule(cfg.max_partitions, false)
-            .map(|o| o.efficiency())
-            .unwrap_or(0.0)
-    };
+            .map_or(0.0, |o| o.efficiency())
+    })??;
 
     let memory = optimus_memory(w, &enc_plan, &cfg.llm_plan, n_mb);
 
@@ -581,12 +548,10 @@ pub fn run_optimus_seeded(
     let lint = match cfg.lint {
         crate::lint::LintMode::Off => optimus_lint::LintReport::default(),
         crate::lint::LintMode::Warn | crate::lint::LintMode::Deny => {
-            let layout = optimus_parallel::ColocationLayout::new(cfg.llm_plan, enc_plan)
-                .map_err(|e| OptimusError::Setup(e.to_string()))?;
             let report = crate::lint::lint_run(
                 &outcome,
                 &profile,
-                &layout,
+                &best.layout,
                 enc_plan.tp,
                 &memory,
                 ctx.topo.gpu.hbm_capacity,
@@ -688,7 +653,7 @@ mod tests {
         let cold = run_optimus(&w, &cfg, &ctx).unwrap();
         assert!(cold.warm.is_none());
         // Seeding with the cold winner must reproduce it exactly.
-        let warm = run_optimus_hinted(&w, &cfg, &ctx, Some(cold.enc_plan)).unwrap();
+        let warm = run_optimus_seeded(&w, &cfg, &ctx, &[cold.enc_plan]).unwrap();
         assert_eq!(warm.enc_plan, cold.enc_plan);
         assert_eq!(warm.outcome, cold.outcome);
         assert_eq!(warm.report.iteration_secs, cold.report.iteration_secs);
@@ -703,7 +668,7 @@ mod tests {
         );
         // Seeding with a non-winning but valid candidate also matches.
         let other =
-            run_optimus_hinted(&w, &cfg, &ctx, Some(ParallelPlan::new(8, 1, 1).unwrap())).unwrap();
+            run_optimus_seeded(&w, &cfg, &ctx, &[ParallelPlan::new(8, 1, 1).unwrap()]).unwrap();
         assert_eq!(other.enc_plan, cold.enc_plan);
         assert_eq!(other.outcome, cold.outcome);
         // Multi-hint seeding: duplicates collapse, unknown plans drop, and
@@ -733,10 +698,56 @@ mod tests {
         );
         // A hint matching no candidate falls back to the cold sweep.
         let bogus = ParallelPlan::new(7, 7, 7).unwrap();
-        let fallback = run_optimus_hinted(&w, &cfg, &ctx, Some(bogus)).unwrap();
+        let fallback = run_optimus_seeded(&w, &cfg, &ctx, &[bogus]).unwrap();
         assert!(fallback.warm.is_none());
         assert_eq!(fallback.enc_plan, cold.enc_plan);
         assert_eq!(fallback.outcome, cold.outcome);
+    }
+
+    #[test]
+    fn merged_phases_resolve_latency_ties_as_one_sweep() {
+        let (w, _) = small_ctx();
+        let llm = ParallelPlan::new(2, 2, 2).unwrap();
+        let cands = plan_model(&w, &llm, u64::MAX).unwrap().candidates;
+        assert!(cands.len() >= 3, "want a non-trivial candidate pool");
+        // Two chunks per candidate; every candidate's second chunk ties on
+        // latency with the others, so the plan tuple decides.
+        let chunks = plan_chunks(&cands, 1, |_| 2);
+        let eval = |c: &SearchChunk, _: &EncoderCandidate| {
+            Ok(CandidateVerdict::Feasible(ScheduleOutcome {
+                partition: vec![c.candidate as u32, c.lo as u32],
+                prefix: 0,
+                suffix: 0,
+                latency: if c.lo == 0 { 100 } else { 98 },
+                blocks: vec![],
+                placements: vec![],
+                ef: vec![],
+                eb: vec![],
+                in_bubble_compute: 0,
+                total_compute: 0,
+                relocated: (0, 0),
+                mb_scales: vec![],
+            }))
+        };
+        let union = search_plan_chunks(&cands, &chunks, 1, eval).unwrap();
+        let (ui, uo) = union.best.clone().expect("feasible");
+        for split in 0..cands.len() {
+            for workers in [1usize, 2, 4] {
+                let (a, b): (Vec<SearchChunk>, Vec<SearchChunk>) =
+                    chunks.iter().partition(|c| c.candidate <= split);
+                let a = search_plan_chunks(&cands, &a, workers, eval).unwrap();
+                let b = search_plan_chunks(&cands, &b, workers, eval).unwrap();
+                for merged in [
+                    merge_searches(&cands, a.clone(), b.clone()),
+                    merge_searches(&cands, b.clone(), a.clone()),
+                ] {
+                    let (mi, mo) = merged.best.expect("feasible");
+                    assert_eq!((mi, &mo), (ui, &uo), "split={split} workers={workers}");
+                    assert_eq!(merged.stats.work_items, chunks.len());
+                    assert_eq!(merged.stats.feasible, union.stats.feasible);
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use optimus_parallel::{enumerate_encoder_plans, pool, ColocationLayout, Parallel
 
 use crate::error::OptimusError;
 use crate::memory::optimus_memory;
+use crate::profile::Ts;
 use crate::scheduler::ScheduleOutcome;
 
 /// One memory-feasible encoder plan candidate.
@@ -151,47 +152,8 @@ pub struct PlanSearch {
     /// total order (latency, plan tuple, index); `None` when no candidate
     /// was feasible.
     pub best: Option<(usize, ScheduleOutcome)>,
-    /// `(candidate, chunk start)` of the winning work item — the full tail
-    /// of the total-order key. Warm-started search merges two partial
-    /// sweeps by comparing complete keys, which needs the chunk start the
-    /// winner came from.
-    pub best_chunk: Option<(usize, usize)>,
     /// Search accounting.
     pub stats: SearchStats,
-}
-
-/// Evaluates every candidate with `eval` across `workers` threads and
-/// reduces to the best feasible schedule.
-///
-/// Work items are claimed from a shared atomic counter, so workers stay
-/// busy regardless of per-candidate cost skew. `eval` must be a pure
-/// function of its arguments: it runs concurrently and its results are
-/// merged by candidate index afterwards.
-///
-/// Determinism contract: the reduction is a total order over *all* results
-/// — first by schedule latency, then by the encoder plan tuple
-/// `(pp, tp, dp, vpp)`, then by candidate index — and an `Err` from `eval`
-/// propagates as the error of the lowest-index failing candidate. Both are
-/// independent of thread interleaving, so the returned value is
-/// bit-identical for any worker count, including `workers == 1`.
-pub fn search_plans<F>(
-    candidates: &[EncoderCandidate],
-    workers: usize,
-    eval: F,
-) -> Result<PlanSearch, OptimusError>
-where
-    F: Fn(usize, &EncoderCandidate) -> Result<CandidateVerdict, OptimusError> + Sync,
-{
-    let chunks: Vec<SearchChunk> = (0..candidates.len())
-        .map(|i| SearchChunk {
-            candidate: i,
-            lo: 0,
-            hi: usize::MAX,
-        })
-        .collect();
-    search_plan_chunks(candidates, &chunks, workers, |c, cand| {
-        eval(c.candidate, cand)
-    })
 }
 
 /// One unit of plan-search work: the slice `lo..hi` of one candidate's
@@ -209,6 +171,17 @@ pub struct SearchChunk {
     pub lo: usize,
     /// One past the last partition index covered.
     pub hi: usize,
+}
+
+/// The search's total order over feasible results: latency, then the
+/// encoder plan tuple `(pp, tp, dp, vpp)`, then the candidate index.
+pub(crate) fn search_key(
+    candidates: &[EncoderCandidate],
+    c: usize,
+    o: &ScheduleOutcome,
+) -> (Ts, u32, u32, u32, u32, usize) {
+    let p = candidates[c].plan;
+    (o.latency, p.pp, p.tp, p.dp, p.vpp, c)
 }
 
 /// Evaluates chunked work items across `workers` threads and reduces to
@@ -250,7 +223,10 @@ where
 
     let mut evaluated = vec![false; candidates.len()];
     let mut feasible = vec![false; candidates.len()];
-    let mut best: Option<(usize, usize, ScheduleOutcome)> = None;
+    // Results arrive in (candidate, chunk start) order and only a strictly
+    // smaller key replaces the incumbent, so ties within one candidate keep
+    // the earliest chunk — the chunk start is the key's implicit last field.
+    let mut best: Option<(usize, ScheduleOutcome)> = None;
     for (i, res) in results {
         let cand = chunks[i].candidate;
         match res? {
@@ -261,23 +237,18 @@ where
                 feasible[cand] = true;
                 let better = match &best {
                     None => true,
-                    Some((bc, blo, b)) => {
-                        let key = |c: usize, lo: usize, o: &ScheduleOutcome| {
-                            let p = candidates[c].plan;
-                            (o.latency, p.pp, p.tp, p.dp, p.vpp, c, lo)
-                        };
-                        key(cand, chunks[i].lo, &outcome) < key(*bc, *blo, b)
+                    Some((bc, b)) => {
+                        search_key(candidates, cand, &outcome) < search_key(candidates, *bc, b)
                     }
                 };
                 if better {
-                    best = Some((cand, chunks[i].lo, outcome));
+                    best = Some((cand, outcome));
                 }
             }
         }
     }
     Ok(PlanSearch {
-        best_chunk: best.as_ref().map(|(c, lo, _)| (*c, *lo)),
-        best: best.map(|(c, _, o)| (c, o)),
+        best,
         stats: SearchStats {
             workers,
             candidates: candidates.len(),
@@ -376,8 +347,6 @@ mod tests {
         }
     }
 
-    use crate::profile::Ts;
-
     fn outcome(latency: Ts) -> ScheduleOutcome {
         ScheduleOutcome {
             partition: vec![],
@@ -401,6 +370,17 @@ mod tests {
         plan_model(&w, &llm, 200 << 30).unwrap().candidates
     }
 
+    /// One work item per candidate, each covering its whole partition space.
+    fn whole(cands: &[EncoderCandidate]) -> Vec<SearchChunk> {
+        (0..cands.len())
+            .map(|i| SearchChunk {
+                candidate: i,
+                lo: 0,
+                hi: usize::MAX,
+            })
+            .collect()
+    }
+
     /// Deterministic synthetic latency with deliberate ties across plans.
     fn fake_latency(p: &ParallelPlan) -> Ts {
         Ts::from((p.pp * 31 + p.tp * 7 + p.dp) % 5 + 100)
@@ -410,13 +390,13 @@ mod tests {
     fn search_is_worker_count_invariant() {
         let cands = model_d_candidates();
         assert!(cands.len() >= 4, "want a non-trivial candidate pool");
-        let eval = |_: usize, c: &EncoderCandidate| {
+        let eval = |_: &SearchChunk, c: &EncoderCandidate| {
             Ok(CandidateVerdict::Feasible(outcome(fake_latency(&c.plan))))
         };
-        let base = search_plans(&cands, 1, eval).unwrap();
+        let base = search_plan_chunks(&cands, &whole(&cands), 1, eval).unwrap();
         let (bi, bo) = base.best.expect("feasible");
         for workers in [2usize, 3, 8, 32] {
-            let run = search_plans(&cands, workers, eval).unwrap();
+            let run = search_plan_chunks(&cands, &whole(&cands), workers, eval).unwrap();
             let (i, o) = run.best.expect("feasible");
             assert_eq!(i, bi, "workers={workers}");
             assert_eq!(o.latency, bo.latency);
@@ -432,8 +412,9 @@ mod tests {
     #[test]
     fn search_breaks_latency_ties_by_plan_tuple() {
         let cands = model_d_candidates();
-        let eval = |_: usize, _: &EncoderCandidate| Ok(CandidateVerdict::Feasible(outcome(42)));
-        let run = search_plans(&cands, 4, eval).unwrap();
+        let eval =
+            |_: &SearchChunk, _: &EncoderCandidate| Ok(CandidateVerdict::Feasible(outcome(42)));
+        let run = search_plan_chunks(&cands, &whole(&cands), 4, eval).unwrap();
         let (i, _) = run.best.unwrap();
         let key = |p: &ParallelPlan| (p.pp, p.tp, p.dp, p.vpp);
         let min = cands.iter().map(|c| key(&c.plan)).min().unwrap();
@@ -444,7 +425,8 @@ mod tests {
     fn search_propagates_lowest_index_error() {
         let cands = model_d_candidates();
         assert!(cands.len() >= 4);
-        let eval = |i: usize, _: &EncoderCandidate| {
+        let eval = |c: &SearchChunk, _: &EncoderCandidate| {
+            let i = c.candidate;
             if i == 1 || i == 3 {
                 Err(OptimusError::Infeasible(format!("boom {i}")))
             } else {
@@ -452,7 +434,7 @@ mod tests {
             }
         };
         for workers in [1usize, 2, 8] {
-            let err = search_plans(&cands, workers, eval).unwrap_err();
+            let err = search_plan_chunks(&cands, &whole(&cands), workers, eval).unwrap_err();
             assert!(
                 err.to_string().contains("boom 1"),
                 "workers={workers}: {err}"
@@ -463,14 +445,15 @@ mod tests {
     #[test]
     fn search_counts_verdicts() {
         let cands = model_d_candidates();
-        let eval = |i: usize, _: &EncoderCandidate| {
+        let eval = |c: &SearchChunk, _: &EncoderCandidate| {
+            let i = c.candidate;
             Ok(match i % 3 {
                 0 => CandidateVerdict::BuildFailed,
                 1 => CandidateVerdict::Infeasible,
                 _ => CandidateVerdict::Feasible(outcome(Ts::try_from(i).unwrap())),
             })
         };
-        let run = search_plans(&cands, 4, eval).unwrap();
+        let run = search_plan_chunks(&cands, &whole(&cands), 4, eval).unwrap();
         let n = cands.len();
         let built = (0..n).filter(|i| i % 3 != 0).count();
         let feas = (0..n).filter(|i| i % 3 == 2).count();
@@ -496,14 +479,7 @@ mod tests {
                 None => CandidateVerdict::Infeasible,
             })
         };
-        let full: Vec<SearchChunk> = (0..cands.len())
-            .map(|i| SearchChunk {
-                candidate: i,
-                lo: 0,
-                hi: usize::MAX,
-            })
-            .collect();
-        let base = search_plan_chunks(&cands, &full, 1, eval_chunk).unwrap();
+        let base = search_plan_chunks(&cands, &whole(&cands), 1, eval_chunk).unwrap();
         let (bi, bo) = base.best.expect("feasible");
         for chunk_size in [1usize, 2, 3] {
             for workers in [1usize, 4, 16] {
@@ -522,7 +498,10 @@ mod tests {
 
     #[test]
     fn empty_candidate_list_yields_no_best() {
-        let run = search_plans(&[], 4, |_, _| Ok(CandidateVerdict::Feasible(outcome(1)))).unwrap();
+        let run = search_plan_chunks(&[], &[], 4, |_, _| {
+            Ok(CandidateVerdict::Feasible(outcome(1)))
+        })
+        .unwrap();
         assert!(run.best.is_none());
         assert_eq!(run.stats.candidates, 0);
     }

@@ -204,6 +204,15 @@ struct BackResult {
     max_end: Ts,
 }
 
+/// Length of [`BubbleScheduler::candidate_partitions`] for `n_mb`
+/// microbatches over `m` encoder pipelines: every composition when there
+/// are at most `max_partitions` of them, otherwise `max_partitions` of them
+/// (at least the balanced one). `0` when the microbatches cannot feed the
+/// pipelines.
+pub(crate) fn partition_count(n_mb: u32, m: u32, max_partitions: usize) -> usize {
+    optimus_parallel::composition_count(n_mb, m).min(max_partitions.max(1) as u128) as usize
+}
+
 /// The bubble scheduler bound to one (profile, workload, layout) triple.
 #[derive(Debug)]
 pub struct BubbleScheduler<'a> {
@@ -964,7 +973,8 @@ impl<'a> BubbleScheduler<'a> {
     /// `O(N_mb^{m-1})` options; at large `m` that is intractable and the
     /// balanced region contains the optimum in practice).
     /// The enumeration is pure and deterministic, so parallel search
-    /// workers can recompute it per work item and slice into it by index.
+    /// workers can recompute it per work item and slice into it by index;
+    /// its length is `partition_count(n_mb, m, max_partitions)`.
     pub fn candidate_partitions(
         &self,
         max_partitions: usize,
@@ -978,8 +988,8 @@ impl<'a> BubbleScheduler<'a> {
                 "{n_mb} microbatches cannot feed {m} encoder pipelines"
             )));
         }
-        let total = optimus_parallel::composition_count(n_mb, m);
-        if total <= max_partitions as u128 {
+        let count = partition_count(n_mb, m, max_partitions);
+        if count as u128 == optimus_parallel::composition_count(n_mb, m) {
             return Ok(optimus_parallel::Compositions::new(n_mb, m)
                 .map_err(|e| OptimusError::Infeasible(e.to_string()))?
                 .collect());
@@ -988,7 +998,7 @@ impl<'a> BubbleScheduler<'a> {
             .map_err(|e| OptimusError::Infeasible(e.to_string()))?];
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x0971_0055);
         let mut seen: std::collections::HashSet<Vec<u32>> = out.iter().cloned().collect();
-        while out.len() < max_partitions {
+        while out.len() < count {
             // Random composition: m−1 distinct cut points in 1..n_mb.
             let mut cuts: Vec<u32> = (0..m - 1).map(|_| rng.random_range(1..n_mb)).collect();
             cuts.sort_unstable();
@@ -1058,6 +1068,47 @@ mod tests {
         let work = EncoderWork::build(&w.mllm, &enc_plan, 1, &ctx).unwrap();
         let layout = ColocationLayout::new(llm_plan, enc_plan).unwrap();
         (profile, work, layout)
+    }
+
+    #[test]
+    fn partition_count_is_the_enumeration_length() {
+        // Every layout the planner offers for 16 microbatches, applied to
+        // profiles with fewer microbatches too, so that `m > n_mb` (no
+        // partition), the full composition space and the sampled regime
+        // (`C(n_mb - 1, m - 1) > max`) all occur.
+        let llm_plan = ParallelPlan::new(2, 2, 2).unwrap();
+        let ctx = SystemContext::hopper(8).unwrap();
+        let w16 = Workload::new(MllmConfig::small(), 8, 32, 1);
+        let cands = crate::planner::plan_model(&w16, &llm_plan, u64::MAX)
+            .unwrap()
+            .candidates;
+        let works: Vec<EncoderWork> = (cands.iter())
+            .map(|c| EncoderWork::build(&w16.mllm, &c.plan, 1, &ctx).unwrap())
+            .collect();
+        let (mut infeasible, mut sampled) = (0, 0);
+        for global_batch in [2u32, 6, 16, 32] {
+            let w = Workload::new(MllmConfig::small(), 8, global_batch, 1);
+            let profile = LlmProfile::build(&w, &llm_plan, &ctx).unwrap();
+            let n_mb = profile.n_microbatches();
+            for (c, work) in cands.iter().zip(&works) {
+                let sched = BubbleScheduler::new(&profile, work, &c.layout).unwrap();
+                let m = c.layout.pipelines_per_llm_pipeline();
+                for max in [0usize, 1, 2, 3, 7, 8, 64] {
+                    let count = partition_count(n_mb, m, max);
+                    match sched.candidate_partitions(max) {
+                        Ok(parts) => assert_eq!(count, parts.len(), "n_mb={n_mb} m={m} max={max}"),
+                        Err(_) => {
+                            assert_eq!(count, 0, "n_mb={n_mb} m={m} max={max}");
+                            infeasible += 1;
+                        }
+                    }
+                    if optimus_parallel::composition_count(n_mb, m) > max.max(1) as u128 {
+                        sampled += 1;
+                    }
+                }
+            }
+        }
+        assert!(infeasible > 0 && sampled > 0, "{infeasible} {sampled}");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use optimus_baselines::common::SystemContext;
 use optimus_core::{
-    lint_run, optimus_memory, run_optimus_hinted, run_optimus_seeded, LlmProfile, OptimusConfig,
+    lint_run, optimus_memory, run_optimus, run_optimus_seeded, LlmProfile, OptimusConfig,
     OptimusRun, SavedSchedule,
 };
 use optimus_modeling::Workload;
@@ -386,7 +386,7 @@ impl PlanService {
             )));
         }
         if self.cross_check {
-            let run = run_optimus_hinted(w2, cfg2, ctx2, None)?;
+            let run = run_optimus(w2, cfg2, ctx2)?;
             let fresh = SavedSchedule::capture(&run, w2).with_fingerprints(
                 saved.topology_fp.clone(),
                 saved.model_fp.clone(),

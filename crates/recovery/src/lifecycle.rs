@@ -123,7 +123,7 @@ pub struct RecoveryParams {
     /// checkpoint restore read.
     pub restart_overhead: DurNs,
     /// Elastic degraded-mode plan for permanent losses; `None` means
-    /// wait-for-restart.
+    /// wait-for-restart. Its step may not be shorter than the full step.
     pub degraded: Option<DegradedPlan>,
 }
 
@@ -329,6 +329,14 @@ fn walk(
             return Err(RecoveryError::Invalid(format!(
                 "degraded plan has non-positive step ({}) or negative reshard ({})",
                 d.effective_step_ns, d.reshard_ns
+            )));
+        }
+        // A degraded step shorter than the full one would book negative
+        // degraded excess, which the ledger cannot balance.
+        if d.effective_step_ns < plan.step_ns {
+            return Err(RecoveryError::Invalid(format!(
+                "degraded step {} ns is faster than the full step {} ns",
+                d.effective_step_ns, plan.step_ns
             )));
         }
     }
@@ -641,6 +649,21 @@ mod tests {
                 "{bad:?} accepted"
             );
         }
+        // A degraded step shorter than the full one cannot balance.
+        let degraded = |effective_step_ns| RecoveryParams {
+            degraded: Some(DegradedPlan {
+                mode: crate::elastic::DegradedMode::ShrinkDp,
+                effective_step_ns,
+                reshard_ns: 0,
+            }),
+            ..params.clone()
+        };
+        assert!(matches!(
+            lifecycle_ledger(&good, &trace, &degraded(9), 10),
+            Err(RecoveryError::Invalid(_))
+        ));
+        let equal = lifecycle_ledger(&good, &trace, &degraded(10), 10).expect("equal step");
+        equal.audit().expect("audit");
     }
 
     #[test]

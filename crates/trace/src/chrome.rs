@@ -51,94 +51,21 @@ pub struct FillTraceSpan {
     pub dur_us: f64,
 }
 
-fn stream_tid(s: Stream) -> u32 {
-    s.index() as u32
-}
+/// Chrome-trace category of each track, indexed by tid: the per-stream
+/// tracks in [`Stream::index`] order, then the fault, recovery and fill
+/// tracks.
+pub const TRACK_CATEGORIES: [&str; Stream::COUNT + 3] = [
+    "compute", "tp_comm", "p2p", "dp_comm", "enc_p2p", "fault", "recovery", "fill",
+];
 
-fn stream_cat(s: Stream) -> &'static str {
-    match s {
-        Stream::Compute => "compute",
-        Stream::TpComm => "tp_comm",
-        Stream::P2p => "p2p",
-        Stream::DpComm => "dp_comm",
-        Stream::EncP2p => "enc_p2p",
-    }
-}
-
-/// Serialises a simulated task graph as a Chrome-trace JSON array.
-///
-/// `pid` is the simulated device, `tid` the stream. Load the output in
-/// Perfetto or `chrome://tracing` to inspect bubbles visually (the Fig. 2 /
-/// Fig. 3 views).
-pub fn write_chrome_trace<W: Write>(
-    graph: &TaskGraph,
-    result: &SimResult,
-    out: W,
-) -> std::io::Result<()> {
-    write_chrome_trace_with_annotations(graph, result, &[], out)
-}
-
-/// Like [`write_chrome_trace`], with an extra *fault track*: each annotation
-/// becomes an instant event (`"ph":"i"`, category `fault`) on track
-/// `Stream::COUNT` of its device, with the detail text in `args`.
-pub fn write_chrome_trace_with_annotations<W: Write>(
-    graph: &TaskGraph,
-    result: &SimResult,
-    annotations: &[TraceAnnotation],
-    out: W,
-) -> std::io::Result<()> {
-    write_chrome_trace_with_recovery(graph, result, annotations, &[], out)
-}
-
-/// Like [`write_chrome_trace_with_annotations`], with a second instant track:
-/// `recovery` events (detection, rollback, replay-done, checkpoint-durable)
-/// land on track [`RECOVERY_TID`] with category `recovery`, above the fault
-/// track of each device.
-pub fn write_chrome_trace_with_recovery<W: Write>(
-    graph: &TaskGraph,
-    result: &SimResult,
-    faults: &[TraceAnnotation],
-    recovery: &[TraceAnnotation],
-    out: W,
-) -> std::io::Result<()> {
-    write_chrome_trace_with_fill(graph, result, faults, recovery, &[], out)
-}
-
-/// Like [`write_chrome_trace_with_recovery`], with a dedicated *fill track*:
-/// each [`FillTraceSpan`] becomes a duration event (category `fill`) on track
-/// [`FILL_TID`] of its device. Spans are emitted per device in ascending
-/// start order regardless of input order, so the output stays ingestible by
-/// `optimus-calibrate` (which rejects out-of-order tracks).
-pub fn write_chrome_trace_with_fill<W: Write>(
-    graph: &TaskGraph,
-    result: &SimResult,
-    faults: &[TraceAnnotation],
-    recovery: &[TraceAnnotation],
-    fill: &[FillTraceSpan],
-    mut out: W,
-) -> std::io::Result<()> {
-    let mut events = Vec::with_capacity(graph.len() + faults.len() + recovery.len() + fill.len());
-    for t in graph.tasks() {
-        let span = result.span(t.id);
-        events.push(Json::obj(vec![
-            ("name", Json::from(t.label)),
-            ("cat", Json::from(stream_cat(t.stream))),
-            ("ph", Json::from("X")),
-            ("ts", Json::from(span.start.as_micros_f64())),
-            ("dur", Json::from(span.duration().as_micros_f64())),
-            ("pid", Json::from(t.device)),
-            ("tid", Json::from(stream_tid(t.stream))),
-        ]));
-    }
-    let tracks = [
-        ("fault", ANNOTATION_TID, faults),
-        ("recovery", RECOVERY_TID, recovery),
-    ];
-    for (cat, tid, anns) in tracks {
+/// Appends the fault and recovery annotations as thread-scoped instant
+/// events (`"ph":"i"`) on their tracks, with the detail text in `args`.
+fn push_instants(events: &mut Vec<Json>, faults: &[TraceAnnotation], recovery: &[TraceAnnotation]) {
+    for (tid, anns) in [(ANNOTATION_TID, faults), (RECOVERY_TID, recovery)] {
         for a in anns {
             events.push(Json::obj(vec![
                 ("name", Json::from(a.label.clone())),
-                ("cat", Json::from(cat)),
+                ("cat", Json::from(TRACK_CATEGORIES[tid as usize])),
                 ("ph", Json::from("i")),
                 // Thread-scoped instant: renders as a marker on its track.
                 ("s", Json::from("t")),
@@ -152,6 +79,46 @@ pub fn write_chrome_trace_with_fill<W: Write>(
             ]));
         }
     }
+}
+
+/// Serialises a simulated task graph as a Chrome-trace JSON array, with
+/// three optional overlay tracks per device (pass empty slices for none).
+///
+/// `pid` is the simulated device, `tid` the stream. Load the output in
+/// Perfetto or `chrome://tracing` to inspect bubbles visually (the Fig. 2 /
+/// Fig. 3 views). Above the stream tracks:
+/// - each of `faults` is an instant event (category `fault`) on track
+///   `Stream::COUNT`;
+/// - each of `recovery` (detection, rollback, replay-done,
+///   checkpoint-durable) is an instant event (category `recovery`) on track
+///   [`RECOVERY_TID`];
+/// - each [`FillTraceSpan`] is a duration event (category `fill`) on track
+///   [`FILL_TID`]. Fill spans are emitted per device in ascending start
+///   order regardless of input order, so the output stays ingestible by
+///   `optimus-calibrate` (which rejects out-of-order tracks).
+pub fn write_chrome_trace<W: Write>(
+    graph: &TaskGraph,
+    result: &SimResult,
+    faults: &[TraceAnnotation],
+    recovery: &[TraceAnnotation],
+    fill: &[FillTraceSpan],
+    mut out: W,
+) -> std::io::Result<()> {
+    let mut events = Vec::with_capacity(graph.len() + faults.len() + recovery.len() + fill.len());
+    for t in graph.tasks() {
+        let span = result.span(t.id);
+        let tid = t.stream.index();
+        events.push(Json::obj(vec![
+            ("name", Json::from(t.label)),
+            ("cat", Json::from(TRACK_CATEGORIES[tid])),
+            ("ph", Json::from("X")),
+            ("ts", Json::from(span.start.as_micros_f64())),
+            ("dur", Json::from(span.duration().as_micros_f64())),
+            ("pid", Json::from(t.device)),
+            ("tid", Json::from(tid as u32)),
+        ]));
+    }
+    push_instants(&mut events, faults, recovery);
     let mut ordered: Vec<&FillTraceSpan> = fill.iter().collect();
     ordered.sort_by(|a, b| {
         a.device
@@ -161,7 +128,7 @@ pub fn write_chrome_trace_with_fill<W: Write>(
     for s in ordered {
         events.push(Json::obj(vec![
             ("name", Json::from(s.label.clone())),
-            ("cat", Json::from("fill")),
+            ("cat", Json::from(TRACK_CATEGORIES[FILL_TID as usize])),
             ("ph", Json::from("X")),
             ("ts", Json::from(s.start_us)),
             ("dur", Json::from(s.dur_us)),
@@ -178,7 +145,7 @@ pub fn write_chrome_trace_with_fill<W: Write>(
 /// step's task timeline — so this writer emits just the fault track
 /// (category `fault`, track `Stream::COUNT`) and optionally the recovery
 /// track ([`RECOVERY_TID`], category `recovery`). The output is the same
-/// Chrome-trace subset the full writers produce, so
+/// Chrome-trace subset [`write_chrome_trace`] produces, so
 /// `optimus-calibrate` ingests it unchanged — that round trip is how MTBF
 /// fits are tested against planted truth rates.
 pub fn write_fault_event_trace<W: Write>(
@@ -187,27 +154,7 @@ pub fn write_fault_event_trace<W: Write>(
     mut out: W,
 ) -> std::io::Result<()> {
     let mut events = Vec::with_capacity(faults.len() + recovery.len());
-    let tracks = [
-        ("fault", ANNOTATION_TID, faults),
-        ("recovery", RECOVERY_TID, recovery),
-    ];
-    for (cat, tid, anns) in tracks {
-        for a in anns {
-            events.push(Json::obj(vec![
-                ("name", Json::from(a.label.clone())),
-                ("cat", Json::from(cat)),
-                ("ph", Json::from("i")),
-                ("s", Json::from("t")),
-                ("ts", Json::from(a.at_us)),
-                ("pid", Json::from(a.device)),
-                ("tid", Json::from(tid)),
-                (
-                    "args",
-                    Json::obj(vec![("detail", Json::from(a.detail.clone()))]),
-                ),
-            ]));
-        }
-    }
+    push_instants(&mut events, faults, recovery);
     out.write_all(Json::Arr(events).to_compact().as_bytes())
 }
 
@@ -238,7 +185,7 @@ mod tests {
         );
         let r = simulate(&g).unwrap();
         let mut buf = Vec::new();
-        write_chrome_trace(&g, &r, &mut buf).unwrap();
+        write_chrome_trace(&g, &r, &[], &[], &[], &mut buf).unwrap();
         let parsed = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
         let arr = parsed.as_arr().unwrap();
         assert_eq!(arr.len(), 2);
@@ -266,7 +213,7 @@ mod tests {
             detail: "slowdown 1.50x".into(),
         }];
         let mut buf = Vec::new();
-        write_chrome_trace_with_annotations(&g, &r, &ann, &mut buf).unwrap();
+        write_chrome_trace(&g, &r, &ann, &[], &[], &mut buf).unwrap();
         let parsed = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
         let arr = parsed.as_arr().unwrap();
         assert_eq!(arr.len(), 2);
@@ -313,7 +260,7 @@ mod tests {
             detail: "to ckpt 3".into(),
         }];
         let mut buf = Vec::new();
-        write_chrome_trace_with_recovery(&g, &r, &faults, &recovery, &mut buf).unwrap();
+        write_chrome_trace(&g, &r, &faults, &recovery, &[], &mut buf).unwrap();
         let parsed = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
         let arr = parsed.as_arr().unwrap();
         assert_eq!(arr.len(), 3);
@@ -360,7 +307,7 @@ mod tests {
             },
         ];
         let mut buf = Vec::new();
-        write_chrome_trace_with_fill(&g, &r, &[], &[], &fill, &mut buf).unwrap();
+        write_chrome_trace(&g, &r, &[], &[], &fill, &mut buf).unwrap();
         let parsed = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
         let arr = parsed.as_arr().unwrap();
         assert_eq!(arr.len(), 3);
@@ -440,7 +387,7 @@ mod tests {
             detail: "path\\with\nnewline".into(),
         }];
         let mut buf = Vec::new();
-        write_chrome_trace_with_annotations(&g, &r, &ann, &mut buf).unwrap();
+        write_chrome_trace(&g, &r, &ann, &[], &[], &mut buf).unwrap();
         // The emitted bytes must survive a JSON round-trip with content intact.
         let parsed = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
         let arr = parsed.as_arr().unwrap();

@@ -26,9 +26,8 @@ pub mod stats;
 
 pub use ascii::render_timeline;
 pub use chrome::{
-    write_chrome_trace, write_chrome_trace_with_annotations, write_chrome_trace_with_fill,
-    write_chrome_trace_with_recovery, write_fault_event_trace, FillTraceSpan, TraceAnnotation,
-    FILL_TID, RECOVERY_TID,
+    write_chrome_trace, write_fault_event_trace, FillTraceSpan, TraceAnnotation, FILL_TID,
+    RECOVERY_TID, TRACK_CATEGORIES,
 };
 pub use compact::compact_timeline;
 pub use stats::{

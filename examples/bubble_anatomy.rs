@@ -24,7 +24,7 @@ fn main() {
 
     let path = std::env::temp_dir().join("optimus_bubble_anatomy.json");
     let file = File::create(&path).expect("create trace file");
-    write_chrome_trace(&run.lowered.graph, &run.result, file).expect("write trace");
+    write_chrome_trace(&run.lowered.graph, &run.result, &[], &[], &[], file).expect("write trace");
     println!(
         "chrome trace written to {} — open it in Perfetto / chrome://tracing",
         path.display()

@@ -26,7 +26,7 @@ fn small_workload() -> Workload {
 
 fn trace_text(graph: &optimus::sim::TaskGraph, result: &optimus::sim::SimResult) -> String {
     let mut buf = Vec::new();
-    optimus::trace::write_chrome_trace(graph, result, &mut buf).unwrap();
+    optimus::trace::write_chrome_trace(graph, result, &[], &[], &[], &mut buf).unwrap();
     String::from_utf8(buf).unwrap()
 }
 
@@ -87,8 +87,7 @@ fn chrome_round_trip_of_faulted_run_with_table_annotations() {
     });
 
     let mut buf = Vec::new();
-    optimus::trace::write_chrome_trace_with_annotations(&inj.graph, &result, &anns, &mut buf)
-        .unwrap();
+    optimus::trace::write_chrome_trace(&inj.graph, &result, &anns, &[], &[], &mut buf).unwrap();
     let parsed = IngestedTrace::parse_chrome(std::str::from_utf8(&buf).unwrap()).unwrap();
 
     assert_eq!(
@@ -328,14 +327,8 @@ fn chrome_round_trip_keeps_recovery_track_separate_and_bit_exact() {
     });
 
     let mut buf = Vec::new();
-    optimus::trace::write_chrome_trace_with_recovery(
-        &inj.graph,
-        &result,
-        &fault_anns,
-        &recovery,
-        &mut buf,
-    )
-    .unwrap();
+    optimus::trace::write_chrome_trace(&inj.graph, &result, &fault_anns, &recovery, &[], &mut buf)
+        .unwrap();
     let parsed = IngestedTrace::parse_chrome(std::str::from_utf8(&buf).unwrap()).unwrap();
 
     // Busy spans still round-trip bit-exactly alongside the new track.
@@ -439,8 +432,7 @@ fn chrome_round_trip_keeps_fill_track_bit_exact() {
         .collect();
 
     let mut buf = Vec::new();
-    optimus::trace::write_chrome_trace_with_fill(&lowered, &result, &[], &[], &fill, &mut buf)
-        .unwrap();
+    optimus::trace::write_chrome_trace(&lowered, &result, &[], &[], &fill, &mut buf).unwrap();
     let parsed = IngestedTrace::parse_chrome(std::str::from_utf8(&buf).unwrap()).unwrap();
 
     // The primary busy spans still round-trip bit-exactly next to the new
