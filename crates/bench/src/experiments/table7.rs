@@ -24,6 +24,10 @@ pub struct SchedulerRow {
     pub eff_coarse: f64,
     /// Fine-grained efficiency.
     pub eff_fine: f64,
+    /// The winning schedule's extension before the LLM step, in ms.
+    pub prefix_ms: f64,
+    /// The winning schedule's extension past the LLM step, in ms.
+    pub suffix_ms: f64,
     /// Wall-clock scheduler runtime in seconds.
     pub runtime_secs: f64,
 }
@@ -47,6 +51,8 @@ pub fn run() -> (String, Vec<SchedulerRow>) {
         "paper",
         "Eff_fine",
         "paper",
+        "Prefix (ms)",
+        "Suffix (ms)",
         "Runtime (s)",
         "paper (s)",
     ]);
@@ -63,6 +69,8 @@ pub fn run() -> (String, Vec<SchedulerRow>) {
             microbatches: n_mb,
             eff_coarse: opt.eff_coarse,
             eff_fine: opt.eff_fine,
+            prefix_ms: opt.outcome.prefix as f64 / 1e6,
+            suffix_ms: opt.outcome.suffix as f64 / 1e6,
             runtime_secs: runtime,
         };
         t.row(vec![
@@ -72,6 +80,8 @@ pub fn run() -> (String, Vec<SchedulerRow>) {
             format!("{:.1}%", paper.2 * 100.0),
             format!("{:.1}%", row.eff_fine * 100.0),
             format!("{:.1}%", paper.3 * 100.0),
+            format!("{:.1}", row.prefix_ms),
+            format!("{:.1}", row.suffix_ms),
             format!("{:.1}", row.runtime_secs),
             format!("{:.1}", paper.4),
         ]);

@@ -334,11 +334,8 @@ fn candidate_latency_bound(sched: &BubbleScheduler<'_>) -> Option<Ts> {
     // (2)/(3) Dependency windows, when the profile exposes a point per
     // microbatch (always true for the schedules the engine builds).
     let (mut prefix_lb, mut suffix_lb) = (0, 0);
-    if profile.f_points.len() == n_mb && profile.b_points.len() == n_mb {
-        let mut f_sorted = profile.f_points.clone();
-        f_sorted.sort_unstable();
-        let mut b_sorted = profile.b_points.clone();
-        b_sorted.sort_unstable();
+    let (f_sorted, b_sorted) = (&sched.f_sorted, &sched.b_sorted);
+    if f_sorted.len() == n_mb && b_sorted.len() == n_mb {
         for i in 0..n_mb {
             let c = (i + 1).div_ceil(m);
             prefix_lb = prefix_lb

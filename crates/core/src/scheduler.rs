@@ -140,28 +140,46 @@ pub fn sample_load_scales(n: u32, spread: f64, seed: u64) -> Vec<f64> {
     scales
 }
 
-/// Per-(pipeline, stage) packing track: free intervals plus a monotone floor
-/// guaranteeing kernel order on the device.
-#[derive(Debug, Clone)]
-struct Track {
-    intervals: Vec<FreeInterval>,
+/// Per-(pipeline, stage) packing track: one device's free intervals,
+/// borrowed from the profile, plus a monotone floor guaranteeing kernel
+/// order on the device. It is `Copy`, so a tentative packing works on a copy
+/// and commits by assignment.
+#[derive(Debug, Clone, Copy)]
+struct Track<'a> {
+    intervals: &'a [FreeInterval],
     floor: Ts,
     /// First interval that may still have room (all earlier ones end at or
-    /// before the floor). Valid because the floor is monotone.
+    /// before the floor, or are emptied by the margin). Valid because the
+    /// floor is monotone.
     hint: usize,
     /// Per-kernel slack reservation (see [`BubbleScheduler::with_slack`]):
     /// each placement additionally reserves `ceil(slack · dur)` after the
     /// kernel, inside the same interval, without claiming it.
     slack: f64,
+    /// Safety margin (see [`BubbleScheduler::with_margin`]): when positive,
+    /// each interval keeps `1 − margin` of its length and one that keeps
+    /// nothing does not exist. A NaN margin is no margin.
+    margin: f64,
 }
 
-impl Track {
-    fn new(intervals: Vec<FreeInterval>, slack: f64) -> Track {
+impl<'a> Track<'a> {
+    fn new(intervals: &'a [FreeInterval], slack: f64, margin: f64) -> Track<'a> {
         Track {
             intervals,
             floor: Ts::MIN / 4,
             hint: 0,
             slack,
+            margin,
+        }
+    }
+
+    /// End of `iv` after the margin, or `None` when the margin empties it.
+    fn usable_end(&self, iv: &FreeInterval) -> Option<Ts> {
+        if self.margin > 0.0 {
+            let end = iv.start + ((iv.end - iv.start) as f64 * (1.0 - self.margin)) as Ts;
+            (end > iv.start).then_some(end)
+        } else {
+            Some(iv.end)
         }
     }
 
@@ -173,12 +191,18 @@ impl Track {
     fn place(&mut self, earliest: Ts, dur: Ts) -> Option<(Ts, u32)> {
         let pad = (self.slack * dur as f64).ceil() as Ts;
         let t = earliest.max(self.floor);
-        while self.hint < self.intervals.len() && self.intervals[self.hint].end <= self.floor {
-            self.hint += 1;
+        while let Some(iv) = self.intervals.get(self.hint) {
+            match self.usable_end(iv) {
+                Some(end) if end > self.floor => break,
+                _ => self.hint += 1,
+            }
         }
         for iv in &self.intervals[self.hint..] {
+            let Some(end) = self.usable_end(iv) else {
+                continue;
+            };
             let pos = t.max(iv.start);
-            if pos + dur + pad <= iv.end {
+            if pos + dur + pad <= end {
                 self.floor = pos + dur + pad;
                 return Some((pos, iv.anchor));
             }
@@ -234,6 +258,11 @@ pub struct BubbleScheduler<'a> {
     /// number of microbatches; microbatches are assigned to pipelines
     /// contiguously in partition order.
     pub mb_scales: Option<Vec<f64>>,
+    /// The profile's forward dependency points, sorted once for
+    /// `CheckEncLLMDep`.
+    pub(crate) f_sorted: Vec<Ts>,
+    /// The profile's backward dependency points, sorted once.
+    pub(crate) b_sorted: Vec<Ts>,
 }
 
 impl<'a> BubbleScheduler<'a> {
@@ -253,6 +282,11 @@ impl<'a> BubbleScheduler<'a> {
         if layout.llm.pp != profile.devices.len() as u32 {
             return Err(OptimusError::Setup("layout/profile stage mismatch".into()));
         }
+        let sorted = |points: &[Ts]| {
+            let mut v = points.to_vec();
+            v.sort_unstable();
+            v
+        };
         Ok(BubbleScheduler {
             profile,
             work,
@@ -260,6 +294,8 @@ impl<'a> BubbleScheduler<'a> {
             margin: 0.0,
             slack: 0.0,
             mb_scales: None,
+            f_sorted: sorted(&profile.f_points),
+            b_sorted: sorted(&profile.b_points),
         })
     }
 
@@ -318,29 +354,19 @@ impl<'a> BubbleScheduler<'a> {
         self
     }
 
-    /// Interior-bubble track for `(pipeline, stage)`, with the margin
-    /// applied (each interval keeps `1 − margin` of its length).
-    fn interior_track(&self, j: u32, k: u32) -> Track {
-        let mut ivs = self.profile.devices[self.host(j, k) as usize]
-            .interior
-            .clone();
-        if self.margin > 0.0 {
-            for iv in &mut ivs {
-                let keep = ((iv.end - iv.start) as f64 * (1.0 - self.margin)) as Ts;
-                iv.end = iv.start + keep;
-            }
-            ivs.retain(|iv| !iv.is_empty());
-        }
-        Track::new(ivs, self.slack)
-    }
-
-    fn window_track(&self, j: u32, k: u32) -> Track {
-        Track::new(
-            self.profile.devices[self.host(j, k) as usize]
-                .comm_windows
-                .clone(),
-            self.slack,
-        )
+    /// Pristine packing tracks of pipeline `j`: per encoder stage, its host
+    /// device's interior bubbles (margin applied) and its LLM compute
+    /// windows, indexed by `EncKernel::comm as usize`.
+    fn tracks(&self, j: u32) -> Vec<[Track<'a>; 2]> {
+        (0..self.n_stages() as u32)
+            .map(|k| {
+                let dev = &self.profile.devices[self.host(j, k) as usize];
+                [
+                    Track::new(&dev.interior, self.slack, self.margin),
+                    Track::new(&dev.comm_windows, self.slack, 0.0),
+                ]
+            })
+            .collect()
     }
 
     fn p2p(&self) -> Ts {
@@ -514,380 +540,234 @@ impl<'a> BubbleScheduler<'a> {
         }
     }
 
-    /// `CheckEncLLMDep` (§4.3): sorted encoder finish times against sorted
-    /// forward points, sorted backward starts against sorted backward points.
-    fn check_dep(&self, ef: &[Ts], eb: &[Ts]) -> bool {
-        let p2p = self.p2p();
-        let mut ef = ef.to_vec();
+    /// Forward half of `CheckEncLLMDep` (§4.3): sorts `ef` in place and
+    /// matches it one to one against the sorted forward points — each
+    /// encoder forward must finish by its point.
+    fn fwd_dep_ok(&self, ef: &mut [Ts]) -> bool {
         ef.sort_unstable();
-        let mut f = self.profile.f_points.clone();
-        f.sort_unstable();
-        if ef.len() != f.len() || ef.iter().zip(&f).any(|(e, fp)| e > fp) {
-            return false;
-        }
-        let mut eb = eb.to_vec();
+        ef.len() == self.f_sorted.len() && ef.iter().zip(&self.f_sorted).all(|(e, f)| e <= f)
+    }
+
+    /// Backward half of `CheckEncLLMDep`: sorts `eb` in place and matches it
+    /// against the sorted backward points from slot `first` on — each encoder
+    /// backward must start `p2p` after its point. Returns the smallest shift
+    /// `≥ 0` of `eb` that meets every match, so `0` means they all hold.
+    fn bwd_shift(&self, eb: &mut [Ts], first: usize) -> Ts {
         eb.sort_unstable();
-        let mut b = self.profile.b_points.clone();
-        b.sort_unstable();
-        eb.len() == b.len() && eb.iter().zip(&b).all(|(e, bp)| *e >= *bp + p2p)
+        let p2p = self.p2p();
+        (eb.iter().zip(&self.b_sorted[first..])).fold(0, |shift, (e, b)| shift.max(b + p2p - e))
     }
 
-    /// Packs the relocated forward microbatches (`n_total-count..n_total`)
-    /// of pipeline `j` into interior bubbles. Returns EF values or `None`.
+    /// `CheckEncLLMDep` on a whole schedule: both halves, one point per
+    /// microbatch.
+    fn check_dep(&self, ef: &[Ts], eb: &[Ts]) -> bool {
+        self.fwd_dep_ok(&mut ef.to_vec())
+            && eb.len() == self.b_sorted.len()
+            && self.bwd_shift(&mut eb.to_vec(), 0) == 0
+    }
+
+    /// Packs microbatch `mb` of pipeline `j` into interior bubbles at kernel
+    /// granularity: its stages in dataflow order (forward `0..K`, backward
+    /// `K..0`), each stage's kernels back to back on that stage's tracks, the
+    /// first stage no earlier than `gate` and each later one `p2p` after its
+    /// predecessor ends. Returns the start of the first stage's first kernel
+    /// (`0` when it has none) and the end of the last stage, or `None` when
+    /// a kernel fits nowhere.
     #[allow(clippy::too_many_arguments)]
-    fn pack_fwd(
+    fn pack_chain(
         &self,
         partition: &[u32],
         j: u32,
-        count: u32,
-        n_total: u32,
-        compute_tracks: &mut [Track],
-        comm_tracks: &mut [Track],
+        mb: u32,
+        dir: Dir,
+        gate: Ts,
+        tracks: &mut [[Track<'a>; 2]],
         placements: &mut Vec<KernelPlacement>,
-    ) -> Option<Vec<Ts>> {
+    ) -> Option<(Ts, Ts)> {
         let k_n = self.n_stages();
-        let p2p = self.p2p();
-        let mut efs = Vec::with_capacity(count as usize);
-        for mb in n_total - count..n_total {
-            let sc = self.scale(partition, j, mb);
-            let mut prev_stage_end = Ts::MIN / 4;
-            for k in 0..k_n {
-                let mut t = if k > 0 {
-                    prev_stage_end + p2p
-                } else {
-                    Ts::MIN / 4
-                };
-                for kern in &self.work.stages[k].fwd {
-                    let track = if kern.comm {
-                        &mut comm_tracks[k]
-                    } else {
-                        &mut compute_tracks[k]
-                    };
-                    let dur = Self::scaled(kern.dur, sc);
-                    let (pos, anchor) = track.place(t, dur)?;
-                    placements.push(KernelPlacement {
-                        pipeline: j,
-                        enc_stage: k as u32,
-                        microbatch: mb,
-                        dir: Dir::Fwd,
-                        llm_stage: self.host(j, k as u32),
-                        start: pos,
-                        end: pos + dur,
-                        comm: kern.comm,
-                        label: kern.label,
-                        anchor,
-                    });
-                    t = pos + dur;
-                }
-                prev_stage_end = t;
+        let sc = self.scale(partition, j, mb);
+        let mut first_start = None;
+        let mut t = gate;
+        for i in 0..k_n {
+            let (k, kernels) = if dir == Dir::Fwd {
+                (i, &self.work.stages[i].fwd)
+            } else {
+                (k_n - 1 - i, &self.work.stages[k_n - 1 - i].bwd)
+            };
+            if i > 0 {
+                t += self.p2p();
             }
-            efs.push(prev_stage_end + p2p);
-        }
-        Some(efs)
-    }
-
-    /// Packs the relocated backward microbatches (`0..count`) of pipeline
-    /// `j` into interior bubbles. `b_hint[r]` is the earliest allowed start
-    /// of the `r`-th relocated backward. Returns EB values or `None`.
-    #[allow(clippy::too_many_arguments)]
-    fn pack_bwd(
-        &self,
-        partition: &[u32],
-        j: u32,
-        count: u32,
-        b_hint: &[Ts],
-        compute_tracks: &mut [Track],
-        comm_tracks: &mut [Track],
-        placements: &mut Vec<KernelPlacement>,
-    ) -> Option<Vec<Ts>> {
-        let k_n = self.n_stages();
-        let p2p = self.p2p();
-        let mut ebs = Vec::with_capacity(count as usize);
-        for r in 0..count as usize {
-            let mb = r as u32;
-            let sc = self.scale(partition, j, mb);
-            let mut prev_stage_end = Ts::MIN / 4;
-            let mut eb = 0;
-            for k in (0..k_n).rev() {
-                let gate = if k == k_n - 1 {
-                    b_hint.get(r).copied().unwrap_or(0) + p2p
-                } else {
-                    prev_stage_end + p2p
-                };
-                let mut t = gate;
-                let mut first = true;
-                for kern in &self.work.stages[k].bwd {
-                    let track = if kern.comm {
-                        &mut comm_tracks[k]
-                    } else {
-                        &mut compute_tracks[k]
-                    };
-                    let dur = Self::scaled(kern.dur, sc);
-                    let (pos, anchor) = track.place(t, dur)?;
-                    if first && k == k_n - 1 {
-                        eb = pos;
-                        first = false;
-                    }
-                    placements.push(KernelPlacement {
-                        pipeline: j,
-                        enc_stage: k as u32,
-                        microbatch: mb,
-                        dir: Dir::Bwd,
-                        llm_stage: self.host(j, k as u32),
-                        start: pos,
-                        end: pos + dur,
-                        comm: kern.comm,
-                        label: kern.label,
-                        anchor,
-                    });
-                    t = pos + dur;
+            for kern in kernels {
+                let dur = Self::scaled(kern.dur, sc);
+                let (pos, anchor) = tracks[k][kern.comm as usize].place(t, dur)?;
+                if i == 0 {
+                    first_start.get_or_insert(pos);
                 }
-                prev_stage_end = t;
+                placements.push(KernelPlacement {
+                    pipeline: j,
+                    enc_stage: k as u32,
+                    microbatch: mb,
+                    dir,
+                    llm_stage: self.host(j, k as u32),
+                    start: pos,
+                    end: pos + dur,
+                    comm: kern.comm,
+                    label: kern.label,
+                    anchor,
+                });
+                t = pos + dur;
             }
-            ebs.push(eb);
         }
-        Some(ebs)
+        Some((first_start.unwrap_or(0), t))
     }
 
     /// Schedules one microbatch partition (Algorithm 2 body). Returns `None`
     /// when the partition is structurally impossible.
-    #[allow(clippy::needless_range_loop)]
     pub fn schedule_partition(&self, partition: &[u32], fine: bool) -> Option<ScheduleOutcome> {
-        let m = self.layout.pipelines_per_llm_pipeline();
-        if partition.len() != m as usize
-            || partition.iter().sum::<u32>() != self.profile.n_microbatches()
-        {
+        let m = self.layout.pipelines_per_llm_pipeline() as usize;
+        let n_mb = self.profile.n_microbatches();
+        if partition.len() != m || partition.iter().sum::<u32>() != n_mb {
             return None;
         }
-        let k_n = self.n_stages();
         let makespan = self.profile.makespan;
+        let p2p = self.p2p();
 
         // Per-pipeline packing tracks over its exclusive devices.
-        let mut compute_tracks: Vec<Vec<Track>> = (0..m)
-            .map(|j| (0..k_n).map(|k| self.interior_track(j, k as u32)).collect())
-            .collect();
-        let mut comm_tracks: Vec<Vec<Track>> = (0..m)
-            .map(|j| (0..k_n).map(|k| self.window_track(j, k as u32)).collect())
-            .collect();
+        let mut tracks: Vec<Vec<[Track<'a>; 2]>> = (0..m as u32).map(|j| self.tracks(j)).collect();
 
-        let mut relocated_f = vec![0u32; m as usize];
-        let mut done_f = vec![false; m as usize];
+        let mut relocated_f = vec![0u32; m];
+        let mut done_f = vec![false; m];
         let mut fronts: Vec<FrontResult> = (0..m)
-            .map(|j| self.front_schedule(partition, j, partition[j as usize]))
+            .map(|j| self.front_schedule(partition, j as u32, partition[j]))
             .collect();
-        let mut fwd_placements: Vec<Vec<KernelPlacement>> = vec![Vec::new(); m as usize];
-        let mut fwd_efs: Vec<Vec<Ts>> = vec![Vec::new(); m as usize];
-
-        let collect_ef = |fronts: &[FrontResult], fwd_efs: &[Vec<Ts>]| -> Vec<Ts> {
-            let mut all = Vec::new();
-            for j in 0..m as usize {
-                all.extend_from_slice(&fronts[j].ef);
-                all.extend_from_slice(&fwd_efs[j]);
-            }
-            all
-        };
+        let mut fwd_placements: Vec<Vec<KernelPlacement>> = vec![Vec::new(); m];
+        let mut fwd_efs: Vec<Vec<Ts>> = vec![Vec::new(); m];
 
         // Fine-grained forward optimisation (OptimizeSchedule, FWD).
         if fine {
             loop {
-                let critical = (0..m as usize)
+                let critical = (0..m)
                     .filter(|&j| !done_f[j] && relocated_f[j] < partition[j])
                     .max_by_key(|&j| fronts[j].prefix);
                 let Some(j) = critical else { break };
                 if fronts[j].prefix <= 0 {
                     break;
                 }
-                // Snapshot pipeline j's state.
-                let snap_comp = compute_tracks[j].clone();
-                let snap_comm = comm_tracks[j].clone();
+                // Relocating c forwards packs the *last* c microbatches, so
+                // c + 1 packs one more ahead of them, and it can push every
+                // later one elsewhere: not an extension of c. Repack into
+                // fresh tracks, which replace pipeline j's only on success.
                 let try_count = relocated_f[j] + 1;
-                // Repack pipeline j's relocated set from pristine tracks.
-                for k in 0..k_n {
-                    compute_tracks[j][k] = self.interior_track(j as u32, k as u32);
-                    comm_tracks[j][k] = self.window_track(j as u32, k as u32);
-                }
+                let mut fresh = self.tracks(j as u32);
                 let mut new_placements = Vec::new();
-                let packed = self.pack_fwd(
-                    partition,
-                    j as u32,
-                    try_count,
-                    partition[j],
-                    &mut compute_tracks[j],
-                    &mut comm_tracks[j],
-                    &mut new_placements,
-                );
-                let accepted = match packed {
-                    Some(efs) => {
-                        let new_front =
-                            self.front_schedule(partition, j as u32, partition[j] - try_count);
-                        let mut all_fronts: Vec<&FrontResult> = fronts.iter().collect();
-                        let _ = &mut all_fronts;
-                        // Tentative EF set.
-                        let mut ef_all = Vec::new();
-                        for jj in 0..m as usize {
-                            if jj == j {
-                                ef_all.extend_from_slice(&new_front.ef);
-                                ef_all.extend_from_slice(&efs);
-                            } else {
-                                ef_all.extend_from_slice(&fronts[jj].ef);
-                                ef_all.extend_from_slice(&fwd_efs[jj]);
-                            }
-                        }
-                        // Backward starts unchanged at this phase; a
-                        // conservative check uses only the forward half.
-                        let mut ef_sorted = ef_all.clone();
-                        ef_sorted.sort_unstable();
-                        let mut f = self.profile.f_points.clone();
-                        f.sort_unstable();
-                        let ok = ef_sorted.len() == f.len()
-                            && ef_sorted.iter().zip(&f).all(|(e, fp)| e <= fp);
-                        if ok {
-                            relocated_f[j] = try_count;
-                            fronts[j] = new_front;
-                            fwd_efs[j] = efs;
-                            fwd_placements[j] = new_placements;
-                            true
-                        } else {
-                            false
-                        }
+                let packed: Option<Vec<Ts>> = (partition[j] - try_count..partition[j])
+                    .map(|mb| {
+                        let gate = Ts::MIN / 4;
+                        self.pack_chain(
+                            partition,
+                            j as u32,
+                            mb,
+                            Dir::Fwd,
+                            gate,
+                            &mut fresh,
+                            &mut new_placements,
+                        )
+                        .map(|(_, end)| end + p2p)
+                    })
+                    .collect();
+                // Backward starts are unchanged in this phase, so the forward
+                // half of the dependency check decides.
+                let accepted = packed.and_then(|efs| {
+                    let front = self.front_schedule(partition, j as u32, partition[j] - try_count);
+                    let mut ef_all: Vec<Ts> = (0..m)
+                        .filter(|&jj| jj != j)
+                        .flat_map(|jj| fronts[jj].ef.iter().chain(&fwd_efs[jj]))
+                        .chain(front.ef.iter().chain(&efs))
+                        .copied()
+                        .collect();
+                    self.fwd_dep_ok(&mut ef_all).then_some((front, efs))
+                });
+                match accepted {
+                    Some((front, efs)) => {
+                        relocated_f[j] = try_count;
+                        fronts[j] = front;
+                        fwd_efs[j] = efs;
+                        fwd_placements[j] = new_placements;
+                        tracks[j] = fresh;
                     }
-                    None => false,
-                };
-                if !accepted {
-                    compute_tracks[j] = snap_comp;
-                    comm_tracks[j] = snap_comm;
-                    done_f[j] = true;
+                    None => done_f[j] = true,
                 }
             }
         }
 
         // Fine-grained backward optimisation (OptimizeSchedule, BWD).
-        let mut relocated_b = vec![0u32; m as usize];
-        let mut done_b = vec![false; m as usize];
+        let mut relocated_b = vec![0u32; m];
+        let mut done_b = vec![false; m];
         let mut backs: Vec<BackResult> = (0..m)
-            .map(|j| self.back_schedule(partition, j, 0, partition[j as usize]))
+            .map(|j| self.back_schedule(partition, j as u32, 0, partition[j]))
             .collect();
-        let mut bwd_placements: Vec<Vec<KernelPlacement>> = vec![Vec::new(); m as usize];
-        let mut bwd_ebs: Vec<Vec<Ts>> = vec![Vec::new(); m as usize];
-        let mut b_sorted = self.profile.b_points.clone();
-        b_sorted.sort_unstable();
-
-        // Post-forward snapshots: backward repacking restores to these.
-        let post_fwd_comp: Vec<Vec<Track>> = compute_tracks.clone();
-        let post_fwd_comm: Vec<Vec<Track>> = comm_tracks.clone();
+        let mut bwd_placements: Vec<Vec<KernelPlacement>> = vec![Vec::new(); m];
+        let mut bwd_ebs: Vec<Vec<Ts>> = vec![Vec::new(); m];
 
         // Global shift to satisfy backward dependency points for the coarse
         // back blocks (always feasible — the trailing region is unbounded).
-        let back_shift = |backs: &[BackResult], bwd_ebs: &[Vec<Ts>]| -> Ts {
-            let p2p = self.p2p();
-            let mut eb_all: Vec<Ts> = Vec::new();
-            for j in 0..m as usize {
-                eb_all.extend_from_slice(&bwd_ebs[j]);
-            }
-            let relocated_count = eb_all.len();
-            let mut coarse: Vec<Ts> = Vec::new();
-            for b in backs {
-                coarse.extend_from_slice(&b.eb_raw);
-            }
-            coarse.sort_unstable();
-            // Relocated backwards claim the earliest B slots (they start
-            // earliest); coarse ones take the rest in sorted order.
-            let mut shift = 0i64;
-            for (idx, &e) in coarse.iter().enumerate() {
-                let b = b_sorted[relocated_count + idx] + p2p;
-                shift = shift.max(b - e);
-            }
-            shift
+        // Relocated backwards claim the earliest B slots (they start
+        // earliest); coarse ones take the rest in sorted order.
+        let back_shift = |backs: &[BackResult], relocated_b: &[u32]| -> Ts {
+            let mut coarse: Vec<Ts> = backs.iter().flat_map(|b| &b.eb_raw).copied().collect();
+            self.bwd_shift(&mut coarse, relocated_b.iter().sum::<u32>() as usize)
         };
 
         if fine {
             loop {
-                let shift = back_shift(&backs, &bwd_ebs);
-                let suffix_of = |j: usize, backs: &[BackResult]| -> Ts {
-                    (backs[j].max_end + shift - makespan).max(0)
-                };
-                let critical = (0..m as usize)
+                let shift = back_shift(&backs, &relocated_b);
+                let suffix_of = |j: usize| (backs[j].max_end + shift - makespan).max(0);
+                let critical = (0..m)
                     .filter(|&j| !done_b[j] && relocated_b[j] < partition[j])
-                    .max_by_key(|&j| suffix_of(j, &backs));
+                    .max_by_key(|&j| suffix_of(j));
                 let Some(j) = critical else { break };
-                if suffix_of(j, &backs) <= 0 {
+                if suffix_of(j) <= 0 {
                     break;
                 }
-                let snap_comp = compute_tracks[j].clone();
-                let snap_comm = comm_tracks[j].clone();
-                let try_count = relocated_b[j] + 1;
-                compute_tracks[j] = post_fwd_comp[j].clone();
-                comm_tracks[j] = post_fwd_comm[j].clone();
+                // Relocating c backwards packs microbatches 0..c in order
+                // from the post-forward tracks, the r-th gated by the r-th
+                // sorted B point, so c + 1 is c plus microbatch c: pack only
+                // that one, onto a copy of pipeline j's tracks.
+                let mb = relocated_b[j];
+                let mut next = tracks[j].clone();
                 let mut new_placements = Vec::new();
-                let hint: Vec<Ts> = (0..try_count as usize)
-                    .map(|r| b_sorted[r.min(b_sorted.len() - 1)])
-                    .collect();
-                let packed = self.pack_bwd(
+                let gate = self.b_sorted[(mb as usize).min(self.b_sorted.len() - 1)] + p2p;
+                let packed = self.pack_chain(
                     partition,
                     j as u32,
-                    try_count,
-                    &hint,
-                    &mut compute_tracks[j],
-                    &mut comm_tracks[j],
+                    mb,
+                    Dir::Bwd,
+                    gate,
+                    &mut next,
                     &mut new_placements,
                 );
-                let accepted = match packed {
-                    Some(ebs) => {
-                        let new_back =
-                            self.back_schedule(partition, j as u32, try_count, partition[j]);
-                        // Full dependency check with tentative state.
-                        let mut eb_all: Vec<Ts> = Vec::new();
-                        for jj in 0..m as usize {
-                            if jj == j {
-                                eb_all.extend_from_slice(&ebs);
-                            } else {
-                                eb_all.extend_from_slice(&bwd_ebs[jj]);
-                            }
-                        }
-                        let mut backs_t: Vec<&BackResult> = Vec::new();
-                        for jj in 0..m as usize {
-                            backs_t.push(if jj == j { &new_back } else { &backs[jj] });
-                        }
-                        // Shift for tentative coarse sets.
-                        let mut coarse: Vec<Ts> = Vec::new();
-                        for b in &backs_t {
-                            coarse.extend_from_slice(&b.eb_raw);
-                        }
-                        coarse.sort_unstable();
-                        let p2p = self.p2p();
-                        let reloc = eb_all.len();
-                        let feasible_slots = reloc + coarse.len() == b_sorted.len();
-                        // Relocated backwards must satisfy their matched B
-                        // points directly (they cannot be shifted).
-                        let mut eb_sorted = eb_all.clone();
-                        eb_sorted.sort_unstable();
-                        let reloc_ok = feasible_slots
-                            && eb_sorted
-                                .iter()
-                                .enumerate()
-                                .all(|(i, &e)| e >= b_sorted[i] + p2p);
-                        if reloc_ok {
-                            relocated_b[j] = try_count;
-                            backs[j] = new_back;
-                            bwd_ebs[j] = ebs;
-                            bwd_placements[j] = new_placements;
-                            true
-                        } else {
-                            false
-                        }
+                // Relocated backwards cannot be shifted: they must meet the
+                // earliest B slots directly.
+                let accepted = packed.filter(|&(eb, _)| {
+                    let mut eb_all: Vec<Ts> =
+                        bwd_ebs.iter().flatten().copied().chain([eb]).collect();
+                    self.b_sorted.len() == n_mb as usize && self.bwd_shift(&mut eb_all, 0) == 0
+                });
+                match accepted {
+                    Some((eb, _)) => {
+                        relocated_b[j] = mb + 1;
+                        backs[j] = self.back_schedule(partition, j as u32, mb + 1, partition[j]);
+                        bwd_ebs[j].push(eb);
+                        bwd_placements[j].append(&mut new_placements);
+                        tracks[j] = next;
                     }
-                    None => false,
-                };
-                if !accepted {
-                    compute_tracks[j] = snap_comp;
-                    comm_tracks[j] = snap_comm;
-                    done_b[j] = true;
+                    None => done_b[j] = true,
                 }
             }
         }
 
         // Final assembly.
-        let shift = back_shift(&backs, &bwd_ebs);
+        let shift = back_shift(&backs, &relocated_b);
         let prefix = fronts.iter().map(|f| f.prefix).max().unwrap_or(0).max(0);
         let suffix = backs
             .iter()
@@ -916,12 +796,12 @@ impl<'a> BubbleScheduler<'a> {
         }
 
         let mut placements = Vec::new();
-        for j in 0..m as usize {
+        for j in 0..m {
             placements.extend_from_slice(&fwd_placements[j]);
             placements.extend_from_slice(&bwd_placements[j]);
         }
 
-        let total_compute: Ts = (0..m as usize)
+        let total_compute: Ts = (0..m)
             .map(|j| {
                 (0..partition[j])
                     .map(|i| {
@@ -935,9 +815,12 @@ impl<'a> BubbleScheduler<'a> {
             .sum();
         let in_bubble = (total_compute - lost).max(0);
 
-        let ef = collect_ef(&fronts, &fwd_efs);
+        let ef: Vec<Ts> = (0..m)
+            .flat_map(|j| fronts[j].ef.iter().chain(&fwd_efs[j]))
+            .copied()
+            .collect();
         let mut eb = Vec::new();
-        for j in 0..m as usize {
+        for j in 0..m {
             eb.extend_from_slice(&bwd_ebs[j]);
             eb.extend(backs[j].eb_raw.iter().map(|e| e + shift));
         }
@@ -950,7 +833,7 @@ impl<'a> BubbleScheduler<'a> {
         let mb_scales = self
             .mb_scales
             .clone()
-            .unwrap_or_else(|| vec![1.0; self.profile.n_microbatches() as usize]);
+            .unwrap_or_else(|| vec![1.0; n_mb as usize]);
         Some(ScheduleOutcome {
             partition: partition.to_vec(),
             prefix,

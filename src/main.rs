@@ -137,7 +137,9 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     if let Some(m) = kv.get("margin") {
         opts.margin = m
             .parse::<f64>()
-            .map_err(|_| format!("--margin expects a float, got '{m}'"))?;
+            .ok()
+            .filter(|v| (0.0..=0.9).contains(v))
+            .ok_or_else(|| format!("--margin expects a float in 0.0-0.9, got '{m}'"))?;
     }
     Ok(opts)
 }
@@ -393,6 +395,14 @@ mod tests {
         assert!(parse_opts(&args("--gpus many")).is_err());
         assert!(parse_opts(&args("--gpus")).is_err());
         assert!(parse_opts(&args("positional")).is_err());
+        for bad in ["x", "NaN", "inf", "-inf", "5", "-0.1", "0.91"] {
+            let err = parse_opts(&args(&format!("--margin {bad}"))).unwrap_err();
+            assert!(err.contains("0.0-0.9"), "{bad}: {err}");
+        }
+        for good in ["0", "0.15", "0.9"] {
+            let o = parse_opts(&args(&format!("--margin {good}"))).unwrap();
+            assert_eq!(o.margin, good.parse::<f64>().unwrap());
+        }
     }
 
     #[test]
