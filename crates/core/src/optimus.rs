@@ -52,11 +52,12 @@ pub struct OptimusConfig {
     /// available core. The chosen plan is bit-identical for any value.
     pub search_workers: usize,
     /// Route the profile simulation through the certificate-driven folded
-    /// engine (`crate::fold`): the cluster graph is certified for rank
-    /// symmetry and only one representative per equivalence class is
-    /// simulated. Bit-identical to full simulation — the engine falls back
-    /// whenever the certifier refuses (OPT010 `asymmetric-collective`) —
-    /// so this defaults to `true`.
+    /// engine (`crate::fold`): the base pipeline is expanded to the full
+    /// `pp × tp × dp` cluster graph, certified for rank symmetry, and only
+    /// one representative per equivalence class is simulated. The answer is
+    /// bit-identical to simulating the base pipeline once, which is cheaper,
+    /// so this defaults to `false`. The fold is an explicit opt-in, kept
+    /// only for the benchmark's API and the fold == direct tests.
     pub folded_sim: bool,
     /// Static analysis of the chosen schedule before it is returned
     /// (deadlock signatures, collective mismatches, bubble-claim validity,
@@ -78,7 +79,7 @@ impl OptimusConfig {
             llm_schedule: crate::profile::LlmScheduleKind::default(),
             mb_scales: None,
             search_workers: 0,
-            folded_sim: true,
+            folded_sim: false,
             lint: crate::lint::LintMode::default(),
         }
     }

@@ -222,8 +222,9 @@ impl LlmProfile {
         LlmProfile::build_full(w, llm_plan, ctx, adjusted, LlmScheduleKind::OneFOneB)
     }
 
-    /// Builds the profile under an explicit LLM pipeline schedule, routed
-    /// through the certificate-driven folded engine (the default path).
+    /// Builds the profile under an explicit LLM pipeline schedule by
+    /// simulating the base pipeline once (the default path; the folded
+    /// engine is an opt-in through [`LlmProfile::build_routed`]).
     pub fn build_full(
         w: &Workload,
         llm_plan: &ParallelPlan,
@@ -231,7 +232,7 @@ impl LlmProfile {
         adjusted: bool,
         kind: LlmScheduleKind,
     ) -> Result<LlmProfile, OptimusError> {
-        LlmProfile::build_routed(w, llm_plan, ctx, adjusted, kind, true)
+        LlmProfile::build_routed(w, llm_plan, ctx, adjusted, kind, false)
     }
 
     /// Builds the profile, choosing the simulation engine explicitly.
@@ -243,8 +244,10 @@ impl LlmProfile {
     /// simulation whenever the certificate is refused (OPT010) or stale. The
     /// projected base result is bit-identical to simulating the base
     /// pipeline directly, so callers see no behavioural difference — only
-    /// the cluster-scale validation and the [`crate::fold::FoldSummary`]
-    /// recorded on the profile.
+    /// the cluster-scale validation, the [`crate::fold::FoldSummary`]
+    /// recorded on the profile, and a much slower, larger build. `folded =
+    /// false` is the default everywhere; `true` is kept only for the
+    /// benchmark's API and the fold == direct tests.
     pub fn build_routed(
         w: &Workload,
         llm_plan: &ParallelPlan,

@@ -8,7 +8,9 @@
 //! simulating:
 //!
 //! 1. **containment** — every claim fits entirely inside some idle interval
-//!    of the matching kind on its device;
+//!    of the matching kind on its device (indexed: the intervals of each
+//!    `(device, kind)` sorted by start with a running maximum of their ends,
+//!    so each claim costs one binary search);
 //! 2. **exclusivity** — no two claims on the same `(device, lane, kind)`
 //!    overlap (different lanes legitimately run concurrently on different
 //!    TP subgroups of the same pipeline stage);
@@ -75,28 +77,80 @@ fn span(start: Time, end: Time) -> String {
     format!("[{start}, {end})")
 }
 
+/// The idle intervals of one `(device, comm)` kind, sorted by
+/// `(start, end)`, with the running maximum of their ends.
+struct Idle {
+    sorted: Vec<(Time, Time)>,
+    reach: Vec<Time>,
+}
+
+impl Idle {
+    /// How many intervals start at or before `t`.
+    fn at_or_before(&self, t: Time) -> usize {
+        self.sorted.partition_point(|&(s, _)| s <= t)
+    }
+
+    /// Some interval contains `[start, end)` iff one of those starting at or
+    /// before `start` ends at or after `end`.
+    fn contains(&self, start: Time, end: Time) -> bool {
+        let p = self.at_or_before(start);
+        p > 0 && self.reach[p - 1] >= end
+    }
+}
+
+/// Groups the idle intervals by `(device, comm)`.
+fn idle_index(intervals: &[IdleInterval]) -> BTreeMap<(u32, bool), Idle> {
+    let mut groups: BTreeMap<(u32, bool), Vec<(Time, Time)>> = BTreeMap::new();
+    for iv in intervals {
+        groups
+            .entry((iv.device, iv.comm))
+            .or_default()
+            .push((iv.start, iv.end));
+    }
+    groups
+        .into_iter()
+        .map(|(k, mut sorted)| {
+            sorted.sort_unstable();
+            let reach = sorted
+                .iter()
+                .scan(Time::MIN, |m, &(_, e)| {
+                    *m = (*m).max(e);
+                    Some(*m)
+                })
+                .collect();
+            (k, Idle { sorted, reach })
+        })
+        .collect()
+}
+
 /// Runs OPT005 over an insert set.
 pub(crate) fn check_inserts(set: &InsertSet) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     // 1. Containment.
+    let idle = idle_index(&set.intervals);
     for c in &set.claims {
-        let fits = set.intervals.iter().any(|iv| {
-            iv.device == c.device && iv.comm == c.comm && iv.start <= c.start && c.end <= iv.end
-        });
-        if !fits {
+        let group = idle.get(&(c.device, c.comm));
+        if !group.is_some_and(|g| g.contains(c.start, c.end)) {
             let kind = if c.comm {
                 "comm window"
             } else {
                 "compute bubble"
             };
-            let nearest = set
-                .intervals
-                .iter()
-                .filter(|iv| iv.device == c.device && iv.comm == c.comm)
-                .map(|iv| span(iv.start, iv.end))
-                .collect::<Vec<_>>()
-                .join(", ");
+            let witness = match group {
+                None => format!("device {} has no idle {kind}s at all", c.device),
+                Some(g) => {
+                    // The last interval starting at or before the claim and
+                    // the first one after it.
+                    let p = g.at_or_before(c.start);
+                    let nearest = g.sorted[p.saturating_sub(1)..(p + 1).min(g.sorted.len())]
+                        .iter()
+                        .map(|&(s, e)| span(s, e))
+                        .collect::<Vec<_>>()
+                        .join(", ");
+                    format!("nearest idle {kind}s on device {}: {nearest}", c.device)
+                }
+            };
             out.push(Diagnostic::new(
                 DiagCode::BubbleInsertOverlap,
                 format!(
@@ -106,11 +160,7 @@ pub(crate) fn check_inserts(set: &InsertSet) -> Vec<Diagnostic> {
                     span(c.start, c.end),
                     c.device
                 ),
-                vec![Witness::note(if nearest.is_empty() {
-                    format!("device {} has no idle {kind}s at all", c.device)
-                } else {
-                    format!("idle {kind}s on device {}: {nearest}", c.device)
-                })],
+                vec![Witness::note(witness)],
             ));
         }
     }
@@ -293,6 +343,32 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, DiagCode::BubbleInsertOverlap);
         assert!(diags[0].message.contains("no idle"), "{}", diags[0].message);
+    }
+
+    #[test]
+    fn escaping_claim_names_only_the_nearest_intervals() {
+        // 5000 comm windows [10k, 10k + 5), listed last to first.
+        let intervals = (0..5000).rev().map(|k| iv(0, true, 10 * k, 10 * k + 5));
+        let set = InsertSet {
+            intervals: intervals.collect(),
+            claims: vec![
+                claim(0, 0, true, 2_003, 2_008),
+                claim(0, 1, true, -5, 1),
+                claim(0, 2, true, 49_995, 50_001),
+                claim(1, 0, true, 0, 1),
+            ],
+        };
+        let notes: Vec<_> = check_inserts(&set).into_iter().map(|d| d.witness).collect();
+        let note = |s: &str| vec![Witness::note(s)];
+        assert_eq!(
+            notes,
+            vec![
+                note("nearest idle comm windows on device 0: [2000, 2005), [2010, 2015)"),
+                note("nearest idle comm windows on device 0: [0, 5)"),
+                note("nearest idle comm windows on device 0: [49990, 49995)"),
+                note("device 1 has no idle comm windows at all"),
+            ]
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Fold-vs-full equivalence: the certificate-driven folded engine must be
 //! *bit-identical* to full simulation — makespans, per-task timelines,
 //! bubble classification, and plan-search winners — across schedule
-//! families, grid widths, and fault perturbations. Folding is a pure
-//! performance optimization; any observable divergence is a soundness bug.
+//! families, grid widths, and fault perturbations. Any observable
+//! divergence is a soundness bug. Folding is an opt-in: the default path
+//! simulates the base pipeline once, which is cheaper.
 
 use optimus::baselines::common::SystemContext;
 use optimus::cluster::DurNs;
@@ -182,6 +183,32 @@ fn plan_search_winner_invariant_under_folding_and_workers() {
             assert_eq!(run.profile.fold.is_some(), folded);
         }
     }
+}
+
+/// Folding is opt-in: the default configuration, the default profile
+/// builders and a default-config `run_optimus` simulate the base pipeline
+/// directly, even where `tp · dp > 1` would let them fold.
+#[test]
+fn default_path_is_direct() {
+    let w = Workload::new(MllmConfig::small(), 8, 16, 1);
+    let ctx = SystemContext::hopper(8).unwrap();
+    let plan = ParallelPlan::new(2, 2, 2).unwrap();
+    let cfg = OptimusConfig::new(plan);
+    assert!(!cfg.folded_sim);
+    let run = run_optimus(&w, &cfg.with_search_workers(1), &ctx).unwrap();
+    assert_eq!(run.profile.fold, None);
+    let kind = LlmScheduleKind::OneFOneB;
+    assert_eq!(LlmProfile::build(&w, &plan, &ctx).unwrap().fold, None);
+    assert_eq!(
+        LlmProfile::build_with(&w, &plan, &ctx, false).unwrap().fold,
+        None
+    );
+    assert_eq!(
+        LlmProfile::build_full(&w, &plan, &ctx, true, kind)
+            .unwrap()
+            .fold,
+        None
+    );
 }
 
 /// A straggler-faulted cluster demotes the affected lane/replica rows to
