@@ -11,6 +11,9 @@
 //! folded engine finds the certificate stale. The fold never changes
 //! results: DESIGN.md §14 gives the soundness argument, and the
 //! `tests/symmetry.rs` suite pins bit-identity on every schedule family.
+//! Planning folds only on request (`OptimusConfig::folded_sim`, default
+//! `false`): the default profile simulates the base pipeline once, which
+//! gives the same answer without materializing the cluster.
 
 use optimus_cluster::TimeNs;
 use optimus_lint::{certify_symmetry_with_claims, DeviceCoord, LintReport, SymmetryCertificate};
