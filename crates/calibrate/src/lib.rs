@@ -14,7 +14,7 @@
 //!    view, and parse JSONL kernel logs pairing each observation with its
 //!    workload footprint. All malformed input maps to typed
 //!    [`CalibrateError`]s.
-//! 2. **Fitting** ([`fit`]) — closed-form deterministic least squares that
+//! 2. **Fitting** ([`fit`](mod@fit)) — closed-form deterministic least squares that
 //!    recovers per-kernel-class efficiencies and per-link-class α–β
 //!    parameters, producing a [`Calibration`] whose
 //!    [`context`](Calibration::context) plugs straight into `run_optimus`

@@ -19,7 +19,7 @@
 //! 3. [`chaos_search`] runs seeded coordinate descent over fixed ladders,
 //!    batching probes on the deterministic worker pool — results are
 //!    bit-identical at any worker count — and keeps the worst offenders.
-//! 4. [`shrink`] minimizes a counterexample property-test style: drop
+//! 4. [`shrink()`] minimizes a counterexample property-test style: drop
 //!    faults, shorten failure lists, relax degradations, while the
 //!    [`ChaosPredicate`] keeps holding.
 //! 5. A [`ChaosFixture`] serializes the minimized counterexample under

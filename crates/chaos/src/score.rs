@@ -1,6 +1,6 @@
 //! Probe scoring: makespan regret, lint violations, exact-ledger checks.
 //!
-//! A probe evaluates one [`Perturbation`](crate::Perturbation) against the
+//! A probe evaluates one [`Perturbation`] against the
 //! harness's chosen plan and condenses the damage into a [`ChaosScore`].
 //! Scores order lexicographically by severity: an exact-ledger violation in
 //! the recovery lifecycle outranks any number of schedule lint errors,

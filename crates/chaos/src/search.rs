@@ -3,7 +3,7 @@
 //! The search walks fixed per-axis ladders (straggler, link degradation,
 //! jitter, stalls, microbatch skew, failure sets) from a handful of seeded
 //! restart points, always keeping the move that worsens the chosen plan
-//! the most under the severity order of [`ChaosScore`]. Probe batches run
+//! the most under the severity order of [`ChaosScore`](crate::ChaosScore). Probe batches run
 //! on the deterministic worker pool and every accept/reject decision is a
 //! pure function of probe results, so the search is bit-identical at any
 //! worker count. All probes are memoized by the perturbation's canonical

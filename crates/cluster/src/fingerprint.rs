@@ -96,14 +96,6 @@ impl FpHasher {
         self.fold_bytes_raw(&[t]);
     }
 
-    /// Folds a length-prefixed byte slice.
-    pub fn fold_bytes(&mut self, bytes: &[u8]) -> &mut FpHasher {
-        self.tag(b'B');
-        self.fold_bytes_raw(&(bytes.len() as u64).to_le_bytes());
-        self.fold_bytes_raw(bytes);
-        self
-    }
-
     /// Folds a UTF-8 string (length-prefixed).
     pub fn fold_str(&mut self, s: &str) -> &mut FpHasher {
         self.tag(b'S');
@@ -122,13 +114,6 @@ impl FpHasher {
     /// Folds a `u64`.
     pub fn fold_u64(&mut self, v: u64) -> &mut FpHasher {
         self.tag(b'8');
-        self.fold_bytes_raw(&v.to_le_bytes());
-        self
-    }
-
-    /// Folds an `i64`.
-    pub fn fold_i64(&mut self, v: i64) -> &mut FpHasher {
-        self.tag(b'i');
         self.fold_bytes_raw(&v.to_le_bytes());
         self
     }

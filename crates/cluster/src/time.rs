@@ -70,11 +70,6 @@ impl DurNs {
         DurNs((secs * 1e9).round() as u64)
     }
 
-    /// Builds a duration from fractional microseconds.
-    pub fn from_micros_f64(us: f64) -> DurNs {
-        DurNs::from_secs_f64(us / 1e6)
-    }
-
     /// Builds a duration from integer microseconds.
     pub const fn from_micros(us: u64) -> DurNs {
         DurNs(us * 1_000)

@@ -127,7 +127,7 @@ pub fn fault_aware_replan(
 /// the threshold fraction (e.g. `0.1` = 10% over profile).
 ///
 /// Requires a run produced with `adjust_dep_points = false` and an encoder
-/// plan with `TP_enc == TP_llm` (the same preconditions as [`crate::verify`]:
+/// plan with `TP_enc == TP_llm` (the same preconditions as [`crate::verify()`]:
 /// the schedule must be spliceable into the task graph exactly).
 pub fn resilience_study(
     run: &OptimusRun,

@@ -51,8 +51,7 @@ pub use adaptive::{fault_annotations, fault_aware_replan, resilience_study, Resi
 pub use encoder::{EncKernel, EncoderStageWork, EncoderWork};
 pub use error::OptimusError;
 pub use fold::{
-    expand_cluster, simulate_symmetric, simulate_symmetric_with_claims, ClusterGraph, FoldSummary,
-    FoldedRun,
+    expand_cluster, simulate_symmetric, ClusterGraph, DeviceCoord, FoldSummary, FoldedRun,
 };
 pub use lint::{
     idle_intervals, lane_collective_spec, lint_profile, lint_run, memory_claim,

@@ -26,7 +26,7 @@ pub struct OptimusConfig {
     /// Enable fine-grained (kernel-level) bubble exploitation.
     pub fine_grained: bool,
     /// Defer forward dependency points by slack analysis (Fig. 12). Set to
-    /// `false` to produce runs that [`crate::verify`] can re-simulate
+    /// `false` to produce runs that [`crate::verify()`] can re-simulate
     /// exactly.
     pub adjust_dep_points: bool,
     /// Multi-stage training with frozen encoders (§6): schedule the encoder
@@ -51,13 +51,12 @@ pub struct OptimusConfig {
     /// Worker threads for the candidate plan search; `0` = one per
     /// available core. The chosen plan is bit-identical for any value.
     pub search_workers: usize,
-    /// Route the profile simulation through the certificate-driven folded
-    /// engine (`crate::fold`): the base pipeline is expanded to the full
-    /// `pp × tp × dp` cluster graph, certified for rank symmetry, and only
-    /// one representative per equivalence class is simulated. The answer is
-    /// bit-identical to simulating the base pipeline once, which is cheaper,
-    /// so this defaults to `false`. The fold is an explicit opt-in, kept
-    /// only for the benchmark's API and the fold == direct tests.
+    /// Build the profile by simulating the full `pp × tp × dp` cluster graph
+    /// ([`crate::fold`]) and projecting one pipeline back, instead of
+    /// simulating the base pipeline once. The answer is bit-identical and
+    /// slower, so this defaults to `false`. Benchmark API: kept only because
+    /// the repository benchmark reads it; the benchmark change that drops
+    /// its fold calls deletes it.
     pub folded_sim: bool,
     /// Static analysis of the chosen schedule before it is returned
     /// (deadlock signatures, collective mismatches, bubble-claim validity,
@@ -90,7 +89,7 @@ impl OptimusConfig {
         self
     }
 
-    /// Enables or disables the certificate-driven folded simulation engine.
+    /// Sets [`OptimusConfig::folded_sim`] (benchmark API).
     pub fn with_folded_sim(mut self, folded: bool) -> OptimusConfig {
         self.folded_sim = folded;
         self
@@ -408,7 +407,7 @@ pub fn run_optimus(
 ///
 /// With hints, the engine sweeps the hinted candidates' full partition
 /// spaces first; if that yields a feasible incumbent, every other candidate
-/// is screened by [`candidate_latency_bound`] and only the survivors are
+/// is screened by `candidate_latency_bound` and only the survivors are
 /// swept. The bound prunes strictly-worse candidates only, so the final
 /// answer — winner, outcome, report — is bit-identical to [`run_optimus`];
 /// only the search accounting (`search`, `warm`) differs. Hints that match

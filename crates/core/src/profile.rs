@@ -190,10 +190,10 @@ pub struct LlmProfile {
     pub devices: Vec<DeviceProfile>,
     /// P2P margin applied to cross-device encoder dependencies.
     pub p2p_margin: DurNs,
-    /// How the cluster-scale simulation behind this profile was executed:
-    /// `Some` when the profile was routed through the certificate-driven
-    /// folded engine (`tp · dp > 1` and folding enabled), `None` when the
-    /// base pipeline was simulated directly.
+    /// The cluster-scale simulation behind this profile: `Some` when it was
+    /// built from the full cluster graph (`folded = true` and
+    /// `tp · dp > 1`), `None` when the base pipeline was simulated directly.
+    /// Benchmark API, like [`LlmProfile::build_routed`]'s `folded`.
     pub fold: Option<crate::fold::FoldSummary>,
 }
 
@@ -211,7 +211,7 @@ impl LlmProfile {
     /// Builds the profile, choosing whether forward dependency points are
     /// deferred by slack analysis (`adjusted = true`, Fig. 12) or taken from
     /// the actual schedule (`adjusted = false`, required for exact
-    /// re-simulation in [`crate::verify`]: deferred consumption implies a
+    /// re-simulation in [`crate::verify()`]: deferred consumption implies a
     /// warmup reorder the unmodified task graph does not perform).
     pub fn build_with(
         w: &Workload,
@@ -223,8 +223,7 @@ impl LlmProfile {
     }
 
     /// Builds the profile under an explicit LLM pipeline schedule by
-    /// simulating the base pipeline once (the default path; the folded
-    /// engine is an opt-in through [`LlmProfile::build_routed`]).
+    /// simulating the base pipeline once (the default path).
     pub fn build_full(
         w: &Workload,
         llm_plan: &ParallelPlan,
@@ -235,19 +234,16 @@ impl LlmProfile {
         LlmProfile::build_routed(w, llm_plan, ctx, adjusted, kind, false)
     }
 
-    /// Builds the profile, choosing the simulation engine explicitly.
+    /// Builds the profile, choosing how the pipeline is simulated.
     ///
     /// With `folded = true` and `tp · dp > 1`, the base pipeline is expanded
-    /// to the full `pp × tp × dp` cluster graph, the rank-symmetry certifier
-    /// proves one pipeline column represents them all, and the folded engine
-    /// simulates only the representatives — falling back to full cluster
-    /// simulation whenever the certificate is refused (OPT010) or stale. The
-    /// projected base result is bit-identical to simulating the base
-    /// pipeline directly, so callers see no behavioural difference — only
-    /// the cluster-scale validation, the [`crate::fold::FoldSummary`]
-    /// recorded on the profile, and a much slower, larger build. `folded =
-    /// false` is the default everywhere; `true` is kept only for the
-    /// benchmark's API and the fold == direct tests.
+    /// to the full `pp × tp × dp` cluster graph ([`crate::fold`]), simulated
+    /// whole, and copy `(0, 0)` is projected back. That is bit-identical to
+    /// simulating the base pipeline directly and only records a
+    /// [`crate::fold::FoldSummary`] on the profile, at the cost of a much
+    /// slower, larger build. `folded = false` is the default everywhere.
+    /// The argument is benchmark API: the benchmark change that drops its
+    /// fold calls removes it and collapses the profile builders into one.
     pub fn build_routed(
         w: &Workload,
         llm_plan: &ParallelPlan,
@@ -320,7 +316,9 @@ impl LlmProfile {
             let lowered = lower(&spec, &schedule, &[])?;
             let cluster = crate::fold::expand_cluster(&lowered.graph, llm_plan.tp, llm_plan.dp);
             let run = crate::fold::simulate_symmetric(&cluster.graph, &cluster.coords)?;
-            let summary = run.summary(cluster.graph.num_devices());
+            let summary = crate::fold::FoldSummary {
+                devices_simulated: cluster.graph.num_devices() as usize,
+            };
             let base = cluster.base_result(&run.result);
             (lowered, base, Some(summary))
         } else {

@@ -3,7 +3,7 @@
 //! The paper's scheduler assumes profiled kernel times hold in future steps
 //! and notes (§6) that "deviations from predicted execution times can lead
 //! to suboptimal scheduling". This module quantifies that: the chosen bubble
-//! schedule is spliced into the task graph (as in [`crate::verify`]), every
+//! schedule is spliced into the task graph (as in [`crate::verify()`]), every
 //! kernel duration is perturbed by an independent uniform factor
 //! `[1−ε, 1+ε]`, and the combined step is re-simulated. The dependency
 //! structure guarantees *correctness* under any perturbation (FIFO + explicit

@@ -56,20 +56,6 @@ impl Injection {
     pub fn lint(&self) -> optimus_lint::LintReport {
         optimus_lint::lint_graph(&self.graph)
     }
-
-    /// Certifies rank symmetry of the faulted graph under a device
-    /// coordinate assignment. Injected faults break symmetry *locally*: a
-    /// straggler or stalled device demotes its lane/replica rows to
-    /// singleton classes (OPT009 warnings) while the untouched remainder of
-    /// the grid keeps folding — so fault studies can still route through
-    /// `optimus_core::simulate_symmetric` and pay full simulation only for
-    /// the devices the fault actually desynchronized.
-    pub fn certify_symmetry(
-        &self,
-        coords: &[optimus_lint::DeviceCoord],
-    ) -> optimus_lint::CertifyOutcome {
-        optimus_lint::certify_symmetry(&self.graph, coords)
-    }
 }
 
 /// A seeded set of fault scenarios applied together to one step.
@@ -816,85 +802,6 @@ mod tests {
         assert_eq!(m.compute_scale(), 1.9);
         assert_eq!(m.jitter_margin(), 0.07);
         assert!(!m.is_degrading());
-    }
-
-    #[test]
-    fn straggler_injection_demotes_symmetry_class_instead_of_erroring() {
-        use optimus_lint::{DeviceCoord, DiagCode};
-        // A regular 2-stage × 2-lane × 4-replica grid on the 16-GPU topo:
-        // per-device compute plus a DP reduce-scatter synced across replicas.
-        let mut g = TaskGraph::new(16);
-        let dev = |s: u32, l: u32, q: u32| q * 4 + s * 2 + l;
-        let mut coords = vec![DeviceCoord::new(0, 0, 0); 16];
-        let mut compute = std::collections::HashMap::new();
-        for q in 0..4u32 {
-            for s in 0..2u32 {
-                for l in 0..2u32 {
-                    coords[dev(s, l, q) as usize] = DeviceCoord::new(s, l, q);
-                    let k = g.push(
-                        "fwd",
-                        dev(s, l, q),
-                        Stream::Compute,
-                        DurNs(10_000),
-                        TaskKind::Generic,
-                        vec![],
-                    );
-                    compute.insert((s, l, q), k);
-                }
-            }
-        }
-        for q in 0..4u32 {
-            for s in 0..2u32 {
-                for l in 0..2u32 {
-                    let deps = (0..4).map(|q2| compute[&(s, l, q2)]).collect();
-                    g.push(
-                        "rs",
-                        dev(s, l, q),
-                        Stream::DpComm,
-                        DurNs(5_000),
-                        TaskKind::DpReduceScatter,
-                        deps,
-                    );
-                }
-            }
-        }
-        let victim = dev(0, 1, 1);
-        let inj = FaultModel::new(7)
-            .with(FaultScenario::StragglerDevice {
-                device: victim,
-                slowdown: 4.0,
-            })
-            .unwrap()
-            .inject(&g, &topo())
-            .unwrap();
-        let out = inj.certify_symmetry(&coords);
-        assert!(out.report.has(DiagCode::SymmetryBroken), "{}", out.report);
-        assert!(
-            !out.report.has_errors(),
-            "a straggler must demote, not refuse: {}",
-            out.report
-        );
-        let cert = out.certificate.expect("demotion keeps the certificate");
-        assert!(cert.covers(&inj.graph));
-        assert!(
-            cert.classes
-                .iter()
-                .any(|c| c.is_singleton() && c.members.contains(&victim)),
-            "straggler demoted to a singleton class"
-        );
-        assert!(
-            cert.devices_folded() > 0,
-            "columns untouched by the fault still fold"
-        );
-        // The clean graph certifies clean — the diagnostic is the fault's.
-        let clean = certify_clean(&g, &coords);
-        assert!(clean.report.is_clean(), "{}", clean.report);
-        fn certify_clean(
-            g: &TaskGraph,
-            coords: &[optimus_lint::DeviceCoord],
-        ) -> optimus_lint::CertifyOutcome {
-            optimus_lint::certify_symmetry(g, coords)
-        }
     }
 
     #[test]

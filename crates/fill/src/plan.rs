@@ -40,11 +40,6 @@ impl Default for FillConfig {
 }
 
 impl FillConfig {
-    /// A config with an explicit slack budget.
-    pub fn with_slack_budget(slack_budget: f64) -> FillConfig {
-        FillConfig { slack_budget }
-    }
-
     fn validate(&self) -> Result<(), FillError> {
         if !self.slack_budget.is_finite() || !(0.0..=1.0).contains(&self.slack_budget) {
             return Err(FillError::Invalid(format!(

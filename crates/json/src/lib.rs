@@ -40,6 +40,12 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let a small hostile file
+/// overflow the stack; every document the workspace writes nests fewer than
+/// ten levels.
+const MAX_DEPTH: usize = 128;
+
 fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
 }
@@ -119,12 +125,14 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document from text.
+    /// Parses a JSON document from text. Arrays and objects nested more
+    /// than 128 levels deep are an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -282,6 +290,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -323,8 +333,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => err(format!(
                 "unexpected byte `{}` at {}",
@@ -546,6 +570,22 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse(r#"{"a":1,"a":2}"#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error() {
+        // A million levels would overflow a 2 MB test thread if the
+        // recursive descent were unbounded.
+        let n = 1_000_000;
+        let e = Json::parse(&"[".repeat(n)).unwrap_err();
+        assert_eq!(e.0, "nesting deeper than 128 levels at byte 128");
+        let e = Json::parse(&"{\"a\":".repeat(n)).unwrap_err();
+        assert_eq!(e.0, "nesting deeper than 128 levels at byte 640");
+        // The cap itself still parses.
+        let doc = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&doc).is_ok());
+        let doc = format!("[{doc}]");
+        assert!(Json::parse(&doc).is_err());
     }
 
     #[test]

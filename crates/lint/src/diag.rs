@@ -35,17 +35,6 @@ pub enum DiagCode {
     /// claim, or another fill claim — the bubble-fill placement would steal
     /// device time the schedule already committed elsewhere.
     FillClaimOverlap,
-    /// OPT009: a device provably diverges from its rank-symmetry equivalence
-    /// class (straggler-faulted durations, fail-stop rewrites, irregular
-    /// coordinates). The certifier *degrades* the device into a singleton
-    /// class — folded simulation stays sound, just less folded — so this
-    /// warns rather than errors.
-    SymmetryBroken,
-    /// OPT010: a collective's endpoint set crosses symmetry classes
-    /// inconsistently — the positional witness renaming has no image for one
-    /// of its edges. Folding such a graph would be unsound, so the certifier
-    /// refuses to issue a certificate.
-    AsymmetricCollective,
 }
 
 /// One row of the diagnostic registry: everything that used to be
@@ -68,7 +57,11 @@ pub struct DiagSpec {
 
 /// The diagnostic registry, in numeric order. Index `i` holds the spec of
 /// the `i`-th declared [`DiagCode`] variant (pinned by a test).
-pub const REGISTRY: [DiagSpec; 10] = [
+///
+/// OPT009 (`symmetry-broken`) and OPT010 (`asymmetric-collective`) belonged
+/// to the rank-symmetry certifier, which was deleted together with the
+/// folded simulator. Both ids are retired and will not be reused.
+pub const REGISTRY: [DiagSpec; 8] = [
     DiagSpec {
         code: DiagCode::Cycle,
         id: "OPT001",
@@ -125,25 +118,11 @@ pub const REGISTRY: [DiagSpec; 10] = [
         severity: Severity::Error,
         docs: "DESIGN.md §9",
     },
-    DiagSpec {
-        code: DiagCode::SymmetryBroken,
-        id: "OPT009",
-        slug: "symmetry-broken",
-        severity: Severity::Warning,
-        docs: "DESIGN.md §14",
-    },
-    DiagSpec {
-        code: DiagCode::AsymmetricCollective,
-        id: "OPT010",
-        slug: "asymmetric-collective",
-        severity: Severity::Error,
-        docs: "DESIGN.md §14",
-    },
 ];
 
 impl DiagCode {
     /// All codes, in numeric order.
-    pub const ALL: [DiagCode; 10] = [
+    pub const ALL: [DiagCode; 8] = [
         DiagCode::Cycle,
         DiagCode::StreamFifoInversion,
         DiagCode::CollectiveOrderMismatch,
@@ -152,8 +131,6 @@ impl DiagCode {
         DiagCode::OrphanTask,
         DiagCode::MissingCheckpoint,
         DiagCode::FillClaimOverlap,
-        DiagCode::SymmetryBroken,
-        DiagCode::AsymmetricCollective,
     ];
 
     /// This code's registry row.
@@ -172,9 +149,9 @@ impl DiagCode {
         self.spec().slug
     }
 
-    /// The severity this pass reports at. Orphan tasks, missing durable
-    /// checkpoints, and symmetry demotions are suspicious but harmless to
-    /// execution, so they warn; everything else is an error.
+    /// The severity this pass reports at. Orphan tasks and missing durable
+    /// checkpoints are suspicious but harmless to execution, so they warn;
+    /// everything else is an error.
     pub fn default_severity(self) -> Severity {
         self.spec().severity
     }
@@ -399,10 +376,7 @@ mod tests {
         let codes: Vec<&str> = DiagCode::ALL.iter().map(|c| c.code()).collect();
         assert_eq!(
             codes,
-            vec![
-                "OPT001", "OPT002", "OPT003", "OPT004", "OPT005", "OPT006", "OPT007", "OPT008",
-                "OPT009", "OPT010"
-            ]
+            vec!["OPT001", "OPT002", "OPT003", "OPT004", "OPT005", "OPT006", "OPT007", "OPT008"]
         );
         assert!(Severity::Warning < Severity::Error);
     }

@@ -17,7 +17,7 @@
 //! 3. **chain order** — claims belonging to one dependency chain occupy
 //!    non-overlapping, position-ordered spans.
 //!
-//! [`check_dep_points`] additionally mirrors the scheduler's
+//! `check_dep_points` additionally mirrors the scheduler's
 //! `CheckEncLLMDep` (§4.3) sorted-matching conditions on encoder
 //! finish/start times versus LLM dependency points.
 

@@ -17,8 +17,6 @@
 //! | OPT006 | `orphan-task`               | a task with no dependency edges, alone on its stream queue — a mis-wired insert |
 //! | OPT007 | `missing-durable-checkpoint` | a schedule segment longer than the configured checkpoint interval carries no durable checkpoint claim |
 //! | OPT008 | `fill-claim-overlap`        | a bubble-fill claim overlaps a primary-schedule claim, a checkpoint claim, or another fill claim |
-//! | OPT009 | `symmetry-broken`           | a device provably diverges from its rank-symmetry class — demoted to a singleton class (folding stays sound) |
-//! | OPT010 | `asymmetric-collective`     | a collective's endpoint set crosses symmetry classes inconsistently — folding would be unsound, certificate refused |
 //!
 //! The registry in [`diag::REGISTRY`] is the single source of truth for
 //! code, slug, severity, and docs link; this table and DESIGN.md §9 mirror
@@ -26,10 +24,7 @@
 //!
 //! Passes are composed through [`Analyzer`]; [`lint_graph`] is the one-call
 //! entry point for pure task-graph checks (OPT001/002/006 plus the
-//! DP-collective sequence derived from the graph itself). The
-//! [`symmetry`] module houses the rank-symmetry certifier
-//! ([`certify_symmetry`]) whose [`SymmetryCertificate`] drives
-//! `optimus_sim::simulate_folded`.
+//! DP-collective sequence derived from the graph itself).
 //!
 //! # Examples
 //!
@@ -60,7 +55,6 @@ pub mod fill;
 pub mod graph;
 pub mod inserts;
 pub mod memory;
-pub mod symmetry;
 
 pub use checkpoint::CheckpointSpec;
 pub use collective::{CollectiveSpec, CommGroup, CommRank};
@@ -68,10 +62,6 @@ pub use diag::{DiagCode, DiagSpec, Diagnostic, LintReport, Severity, Witness, RE
 pub use fill::FillSpec;
 pub use inserts::{DepPoints, IdleInterval, InsertClaim, InsertSet};
 pub use memory::MemoryClaim;
-pub use symmetry::{
-    certify_symmetry, certify_symmetry_with_claims, CertifyOutcome, DeviceCoord,
-    SymmetryCertificate, SymmetryClass,
-};
 
 use optimus_sim::{TaskGraph, TaskId};
 

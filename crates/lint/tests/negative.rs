@@ -4,9 +4,8 @@
 
 use optimus_cluster::DurNs;
 use optimus_lint::{
-    certify_symmetry, lint_graph, Analyzer, CheckpointSpec, CollectiveSpec, CommGroup, CommRank,
-    DepPoints, DeviceCoord, DiagCode, FillSpec, IdleInterval, InsertClaim, InsertSet, LintReport,
-    MemoryClaim, Severity,
+    lint_graph, Analyzer, CheckpointSpec, CollectiveSpec, CommGroup, CommRank, DepPoints, DiagCode,
+    FillSpec, IdleInterval, InsertClaim, InsertSet, LintReport, MemoryClaim, Severity,
 };
 use optimus_pipeline::{
     lower, one_f_one_b, Dir, InsertKernel, InsertStream, OpRef, PipelineSpec, StageSpec,
@@ -187,103 +186,6 @@ fn opt008_fill_claim_overlap() {
         ],
     };
     assert!(Analyzer::new().fill(clean).analyze().is_clean());
-}
-
-/// A minimal 2-stage × 2-replica grid for the symmetry certifier: per-device
-/// compute plus a DP all-gather whose dependency set fans in across both
-/// replicas (device = replica·2 + stage, single TP lane).
-fn symmetric_grid() -> (TaskGraph, Vec<DeviceCoord>) {
-    let mut g = TaskGraph::new(4);
-    let mut coords = vec![DeviceCoord::new(0, 0, 0); 4];
-    let mut compute = Vec::new();
-    for q in 0..2u32 {
-        for s in 0..2u32 {
-            let d = q * 2 + s;
-            coords[d as usize] = DeviceCoord::new(s, 0, q);
-            compute.push(push(&mut g, "w", d, Stream::Compute, vec![]));
-        }
-    }
-    for q in 0..2u32 {
-        for s in 0..2u32 {
-            let d = q * 2 + s;
-            let deps = vec![compute[s as usize], compute[(2 + s) as usize]];
-            g.push(
-                "ag",
-                d,
-                Stream::DpComm,
-                DurNs(60),
-                TaskKind::DpAllGather,
-                deps,
-            );
-        }
-    }
-    (g, coords)
-}
-
-#[test]
-fn opt009_symmetry_broken_demotes_to_singleton() {
-    let (g, coords) = symmetric_grid();
-    // Hand-break the witness renaming: device 2 (stage 0, replica 1) runs a
-    // different compute duration than its image, device 0.
-    let g = g.with_durations(|t| {
-        if t.device == 2 && t.stream == Stream::Compute {
-            DurNs(t.duration.0 * 7)
-        } else {
-            t.duration
-        }
-    });
-    let out = certify_symmetry(&g, &coords);
-    assert_only(&out.report, DiagCode::SymmetryBroken);
-    // OPT009 warns: folding stays sound, so deny mode must not reject it.
-    assert!(!out.report.has_errors());
-    assert!(out
-        .report
-        .diagnostics
-        .iter()
-        .all(|d| d.severity == Severity::Warning));
-    let cert = out.certificate.expect("demotion keeps the certificate");
-    assert!(cert.covers(&g));
-    assert!(
-        cert.classes
-            .iter()
-            .any(|c| c.is_singleton() && c.members == vec![2]),
-        "diverging device must land in a singleton class"
-    );
-    // The untouched fixture certifies clean with one class per stage.
-    let (clean, coords) = symmetric_grid();
-    let out = certify_symmetry(&clean, &coords);
-    assert!(out.report.is_clean(), "{}", out.report);
-    assert_eq!(out.certificate.unwrap().classes.len(), 2);
-}
-
-#[test]
-fn opt010_asymmetric_collective_refuses_certificate() {
-    let (mut g, coords) = symmetric_grid();
-    // Hand-break the collective's endpoint set: device 2's all-gather drops
-    // its cross-replica dependency, so the replica transposition maps an
-    // existing edge onto a missing one — the renaming is no isomorphism and
-    // folding would silently mis-time the collective.
-    let ag2 = g
-        .tasks()
-        .iter()
-        .find(|t| t.device == 2 && t.kind == TaskKind::DpAllGather)
-        .unwrap()
-        .id;
-    let cross = g
-        .task(ag2)
-        .deps
-        .iter()
-        .copied()
-        .find(|&d| g.task(d).device != 2)
-        .unwrap();
-    assert!(g.remove_dep(ag2, cross));
-    let out = certify_symmetry(&g, &coords);
-    assert_only(&out.report, DiagCode::AsymmetricCollective);
-    assert!(out.report.has_errors(), "OPT010 must be an error");
-    assert!(
-        out.certificate.is_none(),
-        "an asymmetric collective must refuse the certificate"
-    );
 }
 
 // ---------------------------------------------------------------- mutations

@@ -4,7 +4,7 @@
 //! microbatches per training step, the planner "enumerates possible ways to
 //! partition these N_mb microbatches among the m encoder pipelines" — the
 //! compositions of `N_mb` into `m` positive parts (e.g. 8 into 2 parts gives
-//! the 7 options [1,7], [2,6], …, [7,1]).
+//! the 7 options `[1,7]`, `[2,6]`, …, `[7,1]`).
 
 use crate::error::PlanError;
 

@@ -136,13 +136,6 @@ pub struct Lowered {
 }
 
 impl Lowered {
-    /// Convenience: task ids of an op's kernel boundaries.
-    pub fn op_first(&self, op: OpRef) -> Option<TaskId> {
-        self.first
-            .get(&(op.rank, op.chunk, op.microbatch, op.dir))
-            .copied()
-    }
-
     /// Last kernel task of an op.
     pub fn op_last(&self, op: OpRef) -> Option<TaskId> {
         self.last
@@ -253,11 +246,12 @@ pub fn lower(
             }
             let key: OpKey = (rank, op.chunk, op.microbatch, op.dir);
 
-            // Incoming transfer, if this op consumes remote data.
+            // The rank's first op with kernels waits for the all-gather.
             let mut head_deps: Vec<TaskId> = Vec::new();
-            if first.is_empty() || !first.keys().any(|k| k.0 == rank) {
+            if rank_last_task.is_none() {
                 head_deps.push(ag);
             }
+            // Incoming transfer, if this op consumes remote data.
             match op.dir {
                 Dir::Fwd if s > 0 => {
                     let prod_rank = (s - 1) % pp;

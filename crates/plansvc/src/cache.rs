@@ -2,7 +2,7 @@
 //!
 //! Two tiers, one invariant. The tiers: a deterministic in-memory LRU of
 //! decoded schedules, and an optional on-disk store of
-//! [`SavedSchedule`](optimus_core::SavedSchedule) v2 documents plus an
+//! [`SavedSchedule`] v2 documents plus an
 //! `index.json` manifest (so a service restart re-discovers entries
 //! without decoding every file). The invariant: **a hit is never trusted,
 //! it is re-verified** — the stored fingerprints must equal the queried

@@ -15,6 +15,8 @@
 //! - **trace** — [`trace_fingerprint`]: the data-mixture distribution and
 //!   sampling seed behind heterogeneous `mb_scales`;
 //!   [`Fingerprint::ABSENT`] for uniform loads.
+//!
+//! [`ClusterTopology::fingerprint`]: optimus_cluster::ClusterTopology::fingerprint
 
 use optimus_baselines::common::SystemContext;
 use optimus_cluster::{Fingerprint, FpHasher};

@@ -27,9 +27,8 @@
 //!    elasticity handling generate (a degraded link class, DP width ±1, a
 //!    data-mixture reseed), the service re-plans only what the delta can
 //!    actually affect. A delta on a link class the planner provably never
-//!    reads ([`ClusterTopology::planning_reads`]
-//!    (optimus_cluster::ClusterTopology::planning_reads) is `false`)
-//!    reuses the cached plan with *zero* search, re-proved by the lint
+//!    reads ([`planning_reads`](optimus_cluster::ClusterTopology::planning_reads)
+//!    is `false`) reuses the cached plan with *zero* search, re-proved by the lint
 //!    analyzer and — in cross-check mode — by a full search asserted
 //!    bit-equal.
 //!

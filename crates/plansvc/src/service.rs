@@ -15,7 +15,7 @@
 //! 4. **Miss** — nothing reusable; full cold search.
 //!
 //! Whatever the rung, the answer is the answer a cold
-//! [`run_optimus`](optimus_core::run_optimus) would give.
+//! [`run_optimus`] would give.
 
 use std::sync::Arc;
 use std::time::Instant;

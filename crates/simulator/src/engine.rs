@@ -39,9 +39,8 @@ pub struct SimResult {
 
 impl SimResult {
     /// Assembles a result from precomputed spans — the constructor used by
-    /// the folded engine (`crate::fold`) and by drivers that project a
-    /// cluster-scale result down to one representative pipeline. `spans`
-    /// must be indexed by [`TaskId`].
+    /// drivers that project a cluster-scale result down to one
+    /// representative pipeline. `spans` must be indexed by [`TaskId`].
     pub fn from_parts(spans: Vec<TaskSpan>, makespan: TimeNs) -> SimResult {
         SimResult { spans, makespan }
     }
@@ -191,11 +190,8 @@ mod tests {
         let c2 = push(&mut g, 0, Stream::TpComm, 1, vec![]);
         g.add_dep(k1, c2);
         let _ = c1;
-        let err = simulate(&g).unwrap_err();
-        match err {
-            SimError::Deadlock { stuck, .. } => assert_eq!(stuck.len(), 4),
-            other => panic!("expected deadlock, got {other}"),
-        }
+        let SimError::Deadlock { stuck, .. } = simulate(&g).unwrap_err();
+        assert_eq!(stuck.len(), 4);
     }
 
     #[test]

@@ -17,13 +17,6 @@ pub enum SimError {
         /// Label of the first stuck task, for diagnostics.
         first_label: &'static str,
     },
-    /// A folded simulation refused to run: the fold plan's structural
-    /// premises (queue shapes, durations, dependency images) do not hold on
-    /// this graph. Callers fall back to full simulation.
-    Fold {
-        /// What diverged.
-        reason: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -34,7 +27,6 @@ impl fmt::Display for SimError {
                 "schedule deadlock: {} tasks never executed (first: {first_label})",
                 stuck.len()
             ),
-            SimError::Fold { reason } => write!(f, "refusing to fold: {reason}"),
         }
     }
 }

@@ -30,7 +30,6 @@ pub mod bubble;
 pub mod dag;
 pub mod engine;
 pub mod error;
-pub mod fold;
 pub mod task;
 
 pub use analysis::{
@@ -40,5 +39,4 @@ pub use bubble::{all_bubbles, device_bubbles, Bubble, BubbleBreakdown, BubbleKin
 pub use dag::ExecDag;
 pub use engine::{simulate, SimResult, TaskSpan};
 pub use error::SimError;
-pub use fold::{simulate_folded, FoldPlan, FoldStats};
 pub use task::{Stream, Task, TaskGraph, TaskId, TaskKind};

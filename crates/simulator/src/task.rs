@@ -126,11 +126,6 @@ pub enum TaskKind {
 }
 
 impl TaskKind {
-    /// True for LLM compute kernels.
-    pub fn is_llm_compute(self) -> bool {
-        matches!(self, TaskKind::LlmFwd { .. } | TaskKind::LlmBwd { .. })
-    }
-
     /// True for encoder compute kernels.
     pub fn is_encoder_compute(self) -> bool {
         matches!(self, TaskKind::EncFwd { .. } | TaskKind::EncBwd { .. })
