@@ -1,6 +1,8 @@
 //! The top-level Optimus workflow (Algorithm 1): model planner → per-plan
 //! bubble scheduling → pick the schedule with the shortest latency.
 
+use std::sync::OnceLock;
+
 use optimus_baselines::common::{make_report, SystemContext};
 use optimus_modeling::{MemoryEstimate, StepReport, Workload};
 use optimus_parallel::ParallelPlan;
@@ -167,35 +169,52 @@ fn device_idle_total(d: &DeviceProfile, makespan: Ts) -> Ts {
     d.leading_end + (makespan - d.trailing_start) + d.interior_capacity()
 }
 
+/// One encoder candidate's search state, built at most once per run and
+/// shared by every work item of the candidate, the warm start's bound
+/// screening and the coarse-efficiency pass.
+struct CandidateState<'a> {
+    scheduler: BubbleScheduler<'a>,
+    /// The candidate's partition enumeration; `None` when the microbatches
+    /// cannot feed its encoder pipelines.
+    partitions: Option<Vec<Vec<u32>>>,
+}
+
 /// Builds candidate `cand`'s encoder work — frozen-encoder or full, per
-/// `cfg.frozen_encoder` — and its bubble scheduler with the configured
-/// margin, slack and microbatch scales, and runs `f` on the scheduler. The
-/// outer `Err` is a failed encoder build, the inner one a scheduler the
-/// configuration cannot set up.
-fn with_candidate<R>(
+/// `cfg.frozen_encoder`.
+fn build_work(
     w: &Workload,
     cfg: &OptimusConfig,
     ctx: &SystemContext,
-    profile: &LlmProfile,
     cand: &EncoderCandidate,
-    f: impl FnOnce(&BubbleScheduler<'_>) -> R,
-) -> Result<Result<R, OptimusError>, OptimusError> {
+) -> Result<EncoderWork, OptimusError> {
     let mb = u64::from(w.microbatch_size);
-    let work = if cfg.frozen_encoder {
-        EncoderWork::build_frozen(&w.mllm, &cand.plan, mb, ctx)?
+    if cfg.frozen_encoder {
+        EncoderWork::build_frozen(&w.mllm, &cand.plan, mb, ctx)
     } else {
-        EncoderWork::build(&w.mllm, &cand.plan, mb, ctx)?
+        EncoderWork::build(&w.mllm, &cand.plan, mb, ctx)
+    }
+}
+
+/// Builds the candidate's bubble scheduler with the configured margin,
+/// slack and microbatch scales, and enumerates its partitions. `Err` is a
+/// scheduler the configuration cannot set up.
+fn build_state<'a>(
+    cfg: &OptimusConfig,
+    profile: &'a LlmProfile,
+    work: &'a EncoderWork,
+    cand: &'a EncoderCandidate,
+) -> Result<CandidateState<'a>, OptimusError> {
+    let scheduler = BubbleScheduler::new(profile, work, &cand.layout)?
+        .with_margin(cfg.bubble_margin)
+        .with_slack(cfg.bubble_slack);
+    let scheduler = match &cfg.mb_scales {
+        Some(sc) => scheduler.with_scales(sc.clone())?,
+        None => scheduler,
     };
-    let scheduler = BubbleScheduler::new(profile, &work, &cand.layout).and_then(|s| {
-        let s = s
-            .with_margin(cfg.bubble_margin)
-            .with_slack(cfg.bubble_slack);
-        match &cfg.mb_scales {
-            Some(sc) => s.with_scales(sc.clone()),
-            None => Ok(s),
-        }
-    });
-    Ok(scheduler.map(|s| f(&s)))
+    Ok(CandidateState {
+        partitions: scheduler.candidate_partitions(cfg.max_partitions).ok(),
+        scheduler,
+    })
 }
 
 /// Lower bound on the best step latency any partition of the scheduler's
@@ -240,9 +259,9 @@ fn with_candidate<R>(
 /// rounded kernel sum is under-counted by its kernel count (placed kernels
 /// round to the nearest ns, so each may round down by at most half a ns).
 fn candidate_latency_bound(sched: &BubbleScheduler<'_>) -> Option<Ts> {
-    let (profile, work) = (sched.profile, sched.work);
+    let (profile, work) = (sched.profile(), sched.work());
     let n_mb = profile.n_microbatches() as usize;
-    let m = sched.layout.pipelines_per_llm_pipeline() as usize;
+    let m = sched.layout().pipelines_per_llm_pipeline() as usize;
     if m == 0 || n_mb < m {
         return None; // the sweep itself reports the infeasibility
     }
@@ -290,7 +309,9 @@ fn candidate_latency_bound(sched: &BubbleScheduler<'_>) -> Option<Ts> {
     let p2p_hops = (work.stages.len() as Ts - 1) * profile.p2p_margin.0 as Ts;
     let (chain_f, chain_f_k) = serial(true);
     let (chain_b, chain_b_k) = serial(false);
-    let mut scales = sched.mb_scales.clone().unwrap_or_else(|| vec![1.0; n_mb]);
+    let mut scales = sched
+        .mb_scales()
+        .map_or_else(|| vec![1.0; n_mb], <[f64]>::to_vec);
     scales.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     // One microbatch's under-counted contribution at a given scale.
     let floor_work =
@@ -431,29 +452,44 @@ pub fn run_optimus_seeded(
     let n_mb = profile.n_microbatches();
 
     // Fan the search out across workers. Work items are (candidate,
-    // partition chunk) pairs: every chunk builds its own encoder work and
-    // scheduler, recomputes the (pure, deterministic) partition
-    // enumeration, and sweeps only its slice of it. Chunking bounds the
-    // cost of the largest item so one expensive candidate cannot cap the
-    // speedup; the engine's deterministic reduction makes the winner
-    // identical to a sequential sweep for any worker count. An infeasible
-    // candidate counts 0 partitions and gets one item, which reports it.
+    // partition chunk) pairs. A candidate's encoder work, scheduler and
+    // partition enumeration are built once, by whichever of its items runs
+    // first, and every item sweeps its slice of the shared list; the items
+    // also share the scheduler's memo of fine-pass packings. Items score
+    // partitions without recording placements: only the winner is recorded,
+    // after the reduction. Chunking bounds the cost of the largest item so
+    // one expensive candidate cannot cap the speedup; the engine's
+    // deterministic reduction makes the winner identical to a sequential
+    // sweep for any worker count. An infeasible candidate counts 0
+    // partitions and gets one item, which reports it.
     const PARTITIONS_PER_ITEM: usize = 8;
     let chunks = plan_chunks(&planner.candidates, PARTITIONS_PER_ITEM, |i| {
         let m = planner.candidates[i].layout.pipelines_per_llm_pipeline();
         partition_count(n_mb, m, cfg.max_partitions)
     });
-    let eval =
-        |chunk: &SearchChunk, cand: &EncoderCandidate| -> Result<CandidateVerdict, OptimusError> {
-            let Ok(verdict) = with_candidate(w, cfg, ctx, &profile, cand, |scheduler| {
-                let partitions = scheduler.candidate_partitions(cfg.max_partitions).ok()?;
-                let slice = partitions.get(chunk.lo..chunk.hi.min(partitions.len()))?;
-                scheduler.schedule_slice(slice, cfg.fine_grained)
-            }) else {
-                return Ok(CandidateVerdict::BuildFailed);
-            };
-            Ok(verdict?.map_or(CandidateVerdict::Infeasible, CandidateVerdict::Feasible))
+    // `None` is a failed encoder build.
+    let works: Vec<OnceLock<Option<EncoderWork>>> =
+        planner.candidates.iter().map(|_| OnceLock::new()).collect();
+    let states: Vec<OnceLock<Result<CandidateState<'_>, OptimusError>>> =
+        planner.candidates.iter().map(|_| OnceLock::new()).collect();
+    let state = |i: usize| -> Option<Result<&CandidateState<'_>, OptimusError>> {
+        let cand = &planner.candidates[i];
+        let work = works[i]
+            .get_or_init(|| build_work(w, cfg, ctx, cand).ok())
+            .as_ref()?;
+        let state = states[i].get_or_init(|| build_state(cfg, &profile, work, cand));
+        Some(state.as_ref().map_err(Clone::clone))
+    };
+    let eval = |chunk: &SearchChunk, _: &EncoderCandidate| {
+        let Some(state) = state(chunk.candidate) else {
+            return Ok(CandidateVerdict::BuildFailed);
         };
+        let state = state?;
+        let best = (state.partitions.as_deref())
+            .and_then(|parts| parts.get(chunk.lo..chunk.hi.min(parts.len())))
+            .and_then(|slice| state.scheduler.score_slice(slice, cfg.fine_grained));
+        Ok(best.map_or(CandidateVerdict::Infeasible, CandidateVerdict::Feasible))
+    };
     // Hints that match no candidate are dropped; duplicates keep their
     // first occurrence so the seeding order stays the caller's.
     let mut hint_idx: Vec<usize> = Vec::new();
@@ -484,21 +520,17 @@ pub fn run_optimus_seeded(
         let phase2_chunks: Vec<SearchChunk> = match incumbent_latency {
             None => rest,
             Some(lat) => {
-                let mut keep = vec![true; planner.candidates.len()];
-                for (i, cand) in planner.candidates.iter().enumerate() {
-                    if hint_idx.contains(&i) {
-                        continue;
-                    }
-                    let bound =
-                        with_candidate(w, cfg, ctx, &profile, cand, candidate_latency_bound);
-                    if let Ok(Ok(Some(bound))) = bound {
-                        if bound > lat {
-                            keep[i] = false;
-                            pruned_by_bound += 1;
-                        }
-                    }
-                }
-                rest.into_iter().filter(|c| keep[c.candidate]).collect()
+                let pruned: Vec<bool> = (0..planner.candidates.len())
+                    .map(|i| {
+                        !hint_idx.contains(&i)
+                            && state(i)
+                                .and_then(Result::ok)
+                                .and_then(|s| candidate_latency_bound(&s.scheduler))
+                                .is_some_and(|bound| bound > lat)
+                    })
+                    .collect();
+                pruned_by_bound = pruned.iter().filter(|&&p| p).count();
+                rest.into_iter().filter(|c| !pruned[c.candidate]).collect()
             }
         };
         let phase2 = search_plan_chunks(
@@ -525,17 +557,29 @@ pub fn run_optimus_seeded(
         (merged, Some(warm))
     };
     let stats = search.stats;
-    let (best_idx, outcome) = search.best.ok_or_else(|| {
+    let (best_idx, scored) = search.best.ok_or_else(|| {
         OptimusError::Infeasible("no encoder plan produced a feasible schedule".into())
     })?;
     let best = &planner.candidates[best_idx];
     let enc_plan = best.plan;
+    let best_state = state(best_idx)
+        .expect("the winning candidate's encoder work built")
+        .expect("the winning candidate's scheduler built");
+    // Record the winner's placements: the same partition, run again with
+    // recording on, must reproduce its score.
+    let outcome = (best_state.scheduler)
+        .schedule_partition(&scored.partition, cfg.fine_grained)
+        .filter(|o| o.latency == scored.latency)
+        .ok_or_else(|| {
+            OptimusError::Infeasible(format!(
+                "partition {:?} of {enc_plan} scored {} ns but does not record the same schedule",
+                scored.partition, scored.latency
+            ))
+        })?;
     // Coarse-only efficiency for the chosen plan (Table 7's Eff_coarse).
-    let eff_coarse = with_candidate(w, cfg, ctx, &profile, best, |sched| {
-        sched
-            .schedule(cfg.max_partitions, false)
-            .map_or(0.0, |o| o.efficiency())
-    })??;
+    let eff_coarse = (best_state.partitions.as_deref())
+        .and_then(|parts| best_state.scheduler.score_slice(parts, false))
+        .map_or(0.0, |o| o.efficiency());
 
     let memory = optimus_memory(w, &enc_plan, &cfg.llm_plan, n_mb);
 

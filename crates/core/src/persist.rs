@@ -9,6 +9,7 @@
 //! Serialisation is hand-rolled over [`optimus_json`] so the workspace
 //! builds with no registry dependencies.
 
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 use optimus_json::{Json, JsonError};
@@ -98,6 +99,44 @@ impl TryFrom<PlanDto> for ParallelPlan {
     }
 }
 
+/// Kernel labels the scheduler emits. A loaded label that matches one
+/// borrows it, so a saved schedule holds no heap string per placement.
+const KERNEL_LABELS: [&str; 28] = [
+    "tp_allgather_attn",
+    "layernorm1",
+    "qkv_proj",
+    "attn_score",
+    "attn_context",
+    "out_proj",
+    "tp_reducescatter_attn",
+    "tp_allgather_mlp",
+    "layernorm2",
+    "fc1",
+    "act_fn",
+    "fc2",
+    "tp_reducescatter_mlp",
+    "tp_allgather_mlp_bwd",
+    "fc2_bwd",
+    "act_fn_bwd",
+    "fc1_bwd",
+    "layernorm2_bwd",
+    "tp_reducescatter_mlp_bwd",
+    "tp_allgather_attn_bwd",
+    "out_proj_bwd",
+    "attn_context_bwd",
+    "attn_score_bwd",
+    "qkv_proj_bwd",
+    "layernorm1_bwd",
+    "tp_reducescatter_attn_bwd",
+    "adapter_bwd",
+    "enc_kernel",
+];
+
+/// `label` as the scheduler's own `&'static` string, if it is one.
+fn known_label(label: &str) -> Option<&'static str> {
+    KERNEL_LABELS.iter().find(|&&l| l == label).copied()
+}
+
 #[derive(Debug, Clone, PartialEq)]
 struct PlacementDto {
     pipeline: u32,
@@ -108,7 +147,7 @@ struct PlacementDto {
     start: Ts,
     end: Ts,
     comm: bool,
-    label: String,
+    label: Cow<'static, str>,
     anchor: u32,
 }
 
@@ -123,12 +162,13 @@ impl PlacementDto {
             ("start", ts_json(self.start)),
             ("end", ts_json(self.end)),
             ("comm", Json::from(self.comm)),
-            ("label", Json::from(self.label.as_str())),
+            ("label", Json::from(self.label.as_ref())),
             ("anchor", Json::from(self.anchor)),
         ])
     }
 
     fn from_json(v: &Json) -> Result<PlacementDto, JsonError> {
+        let label = v.field("label")?.as_str()?;
         Ok(PlacementDto {
             pipeline: v.field("pipeline")?.as_u32()?,
             enc_stage: v.field("enc_stage")?.as_u32()?,
@@ -138,7 +178,7 @@ impl PlacementDto {
             start: v.field("start")?.as_i64()?,
             end: v.field("end")?.as_i64()?,
             comm: v.field("comm")?.as_bool()?,
-            label: v.field("label")?.as_str()?.to_string(),
+            label: known_label(label).map_or_else(|| Cow::Owned(label.to_string()), Cow::Borrowed),
             anchor: v.field("anchor")?.as_u32()?,
         })
     }
@@ -262,7 +302,7 @@ impl SavedSchedule {
                     start: p.start,
                     end: p.end,
                     comm: p.comm,
-                    label: p.label.to_string(),
+                    label: Cow::Borrowed(p.label),
                     anchor: p.anchor,
                 })
                 .collect(),
@@ -455,44 +495,6 @@ impl SavedSchedule {
     /// strings via leak-free lookup into the known kernel-name table; unknown
     /// labels map to `"enc_kernel"`).
     pub fn to_outcome(&self) -> ScheduleOutcome {
-        // Known kernel labels used by the scheduler.
-        const LABELS: [&str; 28] = [
-            "tp_allgather_attn",
-            "layernorm1",
-            "qkv_proj",
-            "attn_score",
-            "attn_context",
-            "out_proj",
-            "tp_reducescatter_attn",
-            "tp_allgather_mlp",
-            "layernorm2",
-            "fc1",
-            "act_fn",
-            "fc2",
-            "tp_reducescatter_mlp",
-            "tp_allgather_mlp_bwd",
-            "fc2_bwd",
-            "act_fn_bwd",
-            "fc1_bwd",
-            "layernorm2_bwd",
-            "tp_reducescatter_mlp_bwd",
-            "tp_allgather_attn_bwd",
-            "out_proj_bwd",
-            "attn_context_bwd",
-            "attn_score_bwd",
-            "qkv_proj_bwd",
-            "layernorm1_bwd",
-            "tp_reducescatter_attn_bwd",
-            "adapter_bwd",
-            "enc_kernel",
-        ];
-        let intern = |label: &str| -> &'static str {
-            LABELS
-                .iter()
-                .find(|&&l| l == label)
-                .copied()
-                .unwrap_or("enc_kernel")
-        };
         ScheduleOutcome {
             partition: self.partition.clone(),
             prefix: self.prefix_ns,
@@ -524,7 +526,7 @@ impl SavedSchedule {
                     start: p.start,
                     end: p.end,
                     comm: p.comm,
-                    label: intern(&p.label),
+                    label: known_label(&p.label).unwrap_or("enc_kernel"),
                     anchor: p.anchor,
                 })
                 .collect(),
@@ -634,6 +636,23 @@ mod tests {
         assert!(loaded.trace_fp.is_empty());
         assert_eq!(loaded.latency_ns, saved.latency_ns);
         assert_eq!(loaded.placements, saved.placements);
+    }
+
+    #[test]
+    fn labels_borrow_known_names_and_keep_unknown_ones() {
+        let (r, w) = run();
+        let mut saved = SavedSchedule::capture(&r, &w);
+        assert!(!saved.placements.is_empty());
+        saved.placements[0].label = Cow::Owned("custom_kernel".into());
+        let mut first = Vec::new();
+        saved.save(&mut first).unwrap();
+        let loaded = SavedSchedule::load(first.as_slice()).unwrap();
+        assert_eq!(loaded, saved);
+        assert_eq!(loaded.placements[0].label, "custom_kernel");
+        assert!((loaded.placements[1..].iter()).all(|p| matches!(p.label, Cow::Borrowed(_))));
+        let mut second = Vec::new();
+        loaded.save(&mut second).unwrap();
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //! encoder finish/start times across pipelines and matches them against the
 //! sorted `F_i`/`B_i` points (§4.3, `CheckEncLLMDep`).
 
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::Mutex;
+
 use optimus_parallel::ColocationLayout;
 use optimus_pipeline::Dir;
 
@@ -211,6 +215,58 @@ impl<'a> Track<'a> {
     }
 }
 
+/// Pipeline `j`'s packing tracks, indexed `[encoder stage][comm as usize]`.
+type Tracks<'a> = Vec<[Track<'a>; 2]>;
+
+/// Where a pipeline's microbatches sit in the global stream: `(offset,
+/// length)` under `mb_scales`, `(0, 0)` under uniform load, where the
+/// position changes no duration.
+type Stream = (u32, u32);
+
+/// Chain packings of the fine pass, shared by every partition a scheduler
+/// scores (see [`BubbleScheduler::score_partition`]).
+///
+/// Each packing is a pure function of a short key:
+/// - forward `(pipeline, relocated count, stream)`: the pipeline's last
+///   `count` forwards, packed from pristine tracks;
+/// - backward `(pipeline, forward count, step, stream)`: microbatch `step`,
+///   packed onto the tracks that the forward pass and backward steps
+///   `0..step` left. Those steps were all accepted, since a rejected step
+///   ends the pipeline's backward pass.
+///
+/// A value is the packing's result (`None` when a kernel fits nowhere) and
+/// the tracks after it: borrowed intervals plus each track's cursor (floor,
+/// hint). It never holds placements, so only scoring reads the memo. Because
+/// values are pure, the order in which workers fill it cannot change an
+/// answer.
+#[derive(Debug, Default)]
+struct PackMemo<'a> {
+    fwd: Mutex<HashMap<(u32, u32, Stream), FwdPacking<'a>>>,
+    bwd: Mutex<HashMap<(u32, u32, u32, Stream), BwdPacking<'a>>>,
+}
+
+/// Encoder-forward finishes of the packed chains and the tracks after them.
+type FwdPacking<'a> = Option<(Vec<Ts>, Tracks<'a>)>;
+
+/// The packed chain's (first start, end) and the tracks after it.
+type BwdPacking<'a> = Option<((Ts, Ts), Tracks<'a>)>;
+
+/// The value of `key` in `map`, computed by `compute` on a miss. The lock is
+/// not held while computing, so two workers may compute the same value; it
+/// is pure, so either insert is the same.
+fn memoised<K: Hash + Eq, V: Clone>(
+    map: &Mutex<HashMap<K, V>>,
+    key: K,
+    compute: impl FnOnce() -> V,
+) -> V {
+    const POISONED: &str = "a worker panicked while holding the pack memo";
+    if let Some(v) = map.lock().expect(POISONED).get(&key) {
+        return v.clone();
+    }
+    let v = compute();
+    map.lock().expect(POISONED).entry(key).or_insert(v).clone()
+}
+
 struct FrontResult {
     prefix: Ts,
     ef: Vec<Ts>,
@@ -238,31 +294,23 @@ pub(crate) fn partition_count(n_mb: u32, m: u32, max_partitions: usize) -> usize
 }
 
 /// The bubble scheduler bound to one (profile, workload, layout) triple.
+///
+/// Its inputs are read-only once built (set through `new` and the `with_*`
+/// builders), because the fine pass's packing memo is only valid for them.
 #[derive(Debug)]
 pub struct BubbleScheduler<'a> {
-    /// LLM bubble profile.
-    pub profile: &'a LlmProfile,
-    /// Encoder workload under the candidate plan.
-    pub work: &'a EncoderWork,
-    /// Encoder-over-LLM tiling.
-    pub layout: &'a ColocationLayout,
-    /// Fraction of every interior bubble reserved as safety margin against
-    /// kernel-runtime jitter (§6 mitigation); `0.0` uses bubbles fully.
-    pub margin: f64,
-    /// Per-claim slack: every bubble-insert claim keeps headroom for a
-    /// `(1 + slack)×` runtime stretch before escaping its proven-idle
-    /// interval or colliding with a neighbour; `0.0` packs exactly.
-    pub slack: f64,
-    /// Per-microbatch encoder load scales (heterogeneous data: variable
-    /// images per sample). `None` means uniform load. Length must equal the
-    /// number of microbatches; microbatches are assigned to pipelines
-    /// contiguously in partition order.
-    pub mb_scales: Option<Vec<f64>>,
+    profile: &'a LlmProfile,
+    work: &'a EncoderWork,
+    layout: &'a ColocationLayout,
+    margin: f64,
+    slack: f64,
+    mb_scales: Option<Vec<f64>>,
     /// The profile's forward dependency points, sorted once for
     /// `CheckEncLLMDep`.
     pub(crate) f_sorted: Vec<Ts>,
     /// The profile's backward dependency points, sorted once.
     pub(crate) b_sorted: Vec<Ts>,
+    memo: PackMemo<'a>,
 }
 
 impl<'a> BubbleScheduler<'a> {
@@ -296,7 +344,44 @@ impl<'a> BubbleScheduler<'a> {
             mb_scales: None,
             f_sorted: sorted(&profile.f_points),
             b_sorted: sorted(&profile.b_points),
+            memo: PackMemo::default(),
         })
+    }
+
+    /// LLM bubble profile.
+    pub fn profile(&self) -> &'a LlmProfile {
+        self.profile
+    }
+
+    /// Encoder workload under the candidate plan.
+    pub fn work(&self) -> &'a EncoderWork {
+        self.work
+    }
+
+    /// Encoder-over-LLM tiling.
+    pub fn layout(&self) -> &'a ColocationLayout {
+        self.layout
+    }
+
+    /// Fraction of every interior bubble reserved as safety margin against
+    /// kernel-runtime jitter (§6 mitigation); `0.0` uses bubbles fully.
+    pub fn margin(&self) -> f64 {
+        self.margin
+    }
+
+    /// Per-claim slack: every bubble-insert claim keeps headroom for a
+    /// `(1 + slack)×` runtime stretch before escaping its proven-idle
+    /// interval or colliding with a neighbour; `0.0` packs exactly.
+    pub fn slack(&self) -> f64 {
+        self.slack
+    }
+
+    /// Per-microbatch encoder load scales (heterogeneous data: variable
+    /// images per sample). `None` means uniform load. One per microbatch;
+    /// microbatches are assigned to pipelines contiguously in partition
+    /// order.
+    pub fn mb_scales(&self) -> Option<&[f64]> {
+        self.mb_scales.as_deref()
     }
 
     /// Sets per-microbatch encoder load scales (heterogeneous data).
@@ -319,6 +404,7 @@ impl<'a> BubbleScheduler<'a> {
             ));
         }
         self.mb_scales = Some(scales);
+        self.memo = PackMemo::default();
         Ok(self)
     }
 
@@ -341,6 +427,7 @@ impl<'a> BubbleScheduler<'a> {
     /// Sets the interior-bubble safety margin (clamped to `[0, 0.9]`).
     pub fn with_margin(mut self, margin: f64) -> BubbleScheduler<'a> {
         self.margin = margin.clamp(0.0, 0.9);
+        self.memo = PackMemo::default();
         self
     }
 
@@ -351,6 +438,7 @@ impl<'a> BubbleScheduler<'a> {
     /// the historical exact packing bit-identically.
     pub fn with_slack(mut self, slack: f64) -> BubbleScheduler<'a> {
         self.slack = slack.clamp(0.0, 0.9);
+        self.memo = PackMemo::default();
         self
     }
 
@@ -572,7 +660,7 @@ impl<'a> BubbleScheduler<'a> {
     /// first stage no earlier than `gate` and each later one `p2p` after its
     /// predecessor ends. Returns the start of the first stage's first kernel
     /// (`0` when it has none) and the end of the last stage, or `None` when
-    /// a kernel fits nowhere.
+    /// a kernel fits nowhere. Records the kernels into `placements` if given.
     #[allow(clippy::too_many_arguments)]
     fn pack_chain(
         &self,
@@ -582,7 +670,7 @@ impl<'a> BubbleScheduler<'a> {
         dir: Dir,
         gate: Ts,
         tracks: &mut [[Track<'a>; 2]],
-        placements: &mut Vec<KernelPlacement>,
+        mut placements: Option<&mut Vec<KernelPlacement>>,
     ) -> Option<(Ts, Ts)> {
         let k_n = self.n_stages();
         let sc = self.scale(partition, j, mb);
@@ -603,37 +691,128 @@ impl<'a> BubbleScheduler<'a> {
                 if i == 0 {
                     first_start.get_or_insert(pos);
                 }
-                placements.push(KernelPlacement {
-                    pipeline: j,
-                    enc_stage: k as u32,
-                    microbatch: mb,
-                    dir,
-                    llm_stage: self.host(j, k as u32),
-                    start: pos,
-                    end: pos + dur,
-                    comm: kern.comm,
-                    label: kern.label,
-                    anchor,
-                });
+                if let Some(placements) = placements.as_deref_mut() {
+                    placements.push(KernelPlacement {
+                        pipeline: j,
+                        enc_stage: k as u32,
+                        microbatch: mb,
+                        dir,
+                        llm_stage: self.host(j, k as u32),
+                        start: pos,
+                        end: pos + dur,
+                        comm: kern.comm,
+                        label: kern.label,
+                        anchor,
+                    });
+                }
                 t = pos + dur;
             }
         }
         Some((first_start.unwrap_or(0), t))
     }
 
-    /// Schedules one microbatch partition (Algorithm 2 body). Returns `None`
-    /// when the partition is structurally impossible.
+    /// Pipeline `j`'s place in the microbatch stream, as far as it changes a
+    /// packing (see [`Stream`]).
+    fn stream(&self, partition: &[u32], j: u32) -> Stream {
+        match self.mb_scales {
+            None => (0, 0),
+            Some(_) => (partition[..j as usize].iter().sum(), partition[j as usize]),
+        }
+    }
+
+    /// Packs pipeline `j`'s last `count` forwards into fresh tracks, each
+    /// chain ungated. Recording packs afresh; scoring reads the memo.
+    fn fwd_packing(
+        &self,
+        partition: &[u32],
+        j: u32,
+        count: u32,
+        mut placements: Option<&mut Vec<KernelPlacement>>,
+    ) -> FwdPacking<'a> {
+        let record = placements.is_some();
+        let mut pack = || {
+            let mut fresh = self.tracks(j);
+            let n = partition[j as usize];
+            let ef = (n - count..n)
+                .map(|mb| {
+                    let chain = self.pack_chain(
+                        partition,
+                        j,
+                        mb,
+                        Dir::Fwd,
+                        Ts::MIN / 4,
+                        &mut fresh,
+                        placements.as_deref_mut(),
+                    );
+                    chain.map(|(_, end)| end + self.p2p())
+                })
+                .collect::<Option<Vec<Ts>>>()?;
+            Some((ef, fresh))
+        };
+        if record {
+            return pack();
+        }
+        let key = (j, count, self.stream(partition, j));
+        memoised(&self.memo.fwd, key, pack)
+    }
+
+    /// Packs pipeline `j`'s backward of microbatch `mb` onto a copy of its
+    /// `tracks`, gated by the `mb`-th sorted backward point. `fwd_count` is
+    /// the pipeline's relocated forward count, which with `mb` fixes the
+    /// tracks (see [`PackMemo`]). Recording packs afresh; scoring reads the
+    /// memo.
+    fn bwd_packing(
+        &self,
+        partition: &[u32],
+        j: u32,
+        (fwd_count, mb): (u32, u32),
+        tracks: &Tracks<'a>,
+        placements: Option<&mut Vec<KernelPlacement>>,
+    ) -> BwdPacking<'a> {
+        let record = placements.is_some();
+        let pack = || {
+            let mut next = tracks.clone();
+            let gate = self.b_sorted[(mb as usize).min(self.b_sorted.len() - 1)] + self.p2p();
+            let span = self.pack_chain(partition, j, mb, Dir::Bwd, gate, &mut next, placements)?;
+            Some((span, next))
+        };
+        if record {
+            return pack();
+        }
+        let key = (j, fwd_count, mb, self.stream(partition, j));
+        memoised(&self.memo.bwd, key, pack)
+    }
+
+    /// Schedules one microbatch partition (Algorithm 2 body), recording
+    /// every relocated kernel's placement. Returns `None` when the partition
+    /// is structurally impossible.
     pub fn schedule_partition(&self, partition: &[u32], fine: bool) -> Option<ScheduleOutcome> {
+        self.run_partition(partition, fine, true)
+    }
+
+    /// [`BubbleScheduler::schedule_partition`] without the placements: every
+    /// other field is the same. The fine pass's chain packings come from a
+    /// memo shared by every partition this scheduler scores, which makes
+    /// scoring a sweep much cheaper than recording it.
+    pub fn score_partition(&self, partition: &[u32], fine: bool) -> Option<ScheduleOutcome> {
+        self.run_partition(partition, fine, false)
+    }
+
+    fn run_partition(
+        &self,
+        partition: &[u32],
+        fine: bool,
+        record: bool,
+    ) -> Option<ScheduleOutcome> {
         let m = self.layout.pipelines_per_llm_pipeline() as usize;
         let n_mb = self.profile.n_microbatches();
         if partition.len() != m || partition.iter().sum::<u32>() != n_mb {
             return None;
         }
         let makespan = self.profile.makespan;
-        let p2p = self.p2p();
 
         // Per-pipeline packing tracks over its exclusive devices.
-        let mut tracks: Vec<Vec<[Track<'a>; 2]>> = (0..m as u32).map(|j| self.tracks(j)).collect();
+        let mut tracks: Vec<Tracks<'a>> = (0..m as u32).map(|j| self.tracks(j)).collect();
 
         let mut relocated_f = vec![0u32; m];
         let mut done_f = vec![false; m];
@@ -658,26 +837,16 @@ impl<'a> BubbleScheduler<'a> {
                 // later one elsewhere: not an extension of c. Repack into
                 // fresh tracks, which replace pipeline j's only on success.
                 let try_count = relocated_f[j] + 1;
-                let mut fresh = self.tracks(j as u32);
                 let mut new_placements = Vec::new();
-                let packed: Option<Vec<Ts>> = (partition[j] - try_count..partition[j])
-                    .map(|mb| {
-                        let gate = Ts::MIN / 4;
-                        self.pack_chain(
-                            partition,
-                            j as u32,
-                            mb,
-                            Dir::Fwd,
-                            gate,
-                            &mut fresh,
-                            &mut new_placements,
-                        )
-                        .map(|(_, end)| end + p2p)
-                    })
-                    .collect();
+                let packed = self.fwd_packing(
+                    partition,
+                    j as u32,
+                    try_count,
+                    record.then_some(&mut new_placements),
+                );
                 // Backward starts are unchanged in this phase, so the forward
                 // half of the dependency check decides.
-                let accepted = packed.and_then(|efs| {
+                let accepted = packed.and_then(|(efs, fresh)| {
                     let front = self.front_schedule(partition, j as u32, partition[j] - try_count);
                     let mut ef_all: Vec<Ts> = (0..m)
                         .filter(|&jj| jj != j)
@@ -685,10 +854,10 @@ impl<'a> BubbleScheduler<'a> {
                         .chain(front.ef.iter().chain(&efs))
                         .copied()
                         .collect();
-                    self.fwd_dep_ok(&mut ef_all).then_some((front, efs))
+                    self.fwd_dep_ok(&mut ef_all).then_some((front, efs, fresh))
                 });
                 match accepted {
-                    Some((front, efs)) => {
+                    Some((front, efs, fresh)) => {
                         relocated_f[j] = try_count;
                         fronts[j] = front;
                         fwd_efs[j] = efs;
@@ -734,27 +903,23 @@ impl<'a> BubbleScheduler<'a> {
                 // sorted B point, so c + 1 is c plus microbatch c: pack only
                 // that one, onto a copy of pipeline j's tracks.
                 let mb = relocated_b[j];
-                let mut next = tracks[j].clone();
                 let mut new_placements = Vec::new();
-                let gate = self.b_sorted[(mb as usize).min(self.b_sorted.len() - 1)] + p2p;
-                let packed = self.pack_chain(
+                let packed = self.bwd_packing(
                     partition,
                     j as u32,
-                    mb,
-                    Dir::Bwd,
-                    gate,
-                    &mut next,
-                    &mut new_placements,
+                    (relocated_f[j], mb),
+                    &tracks[j],
+                    record.then_some(&mut new_placements),
                 );
                 // Relocated backwards cannot be shifted: they must meet the
                 // earliest B slots directly.
-                let accepted = packed.filter(|&(eb, _)| {
+                let accepted = packed.filter(|&((eb, _), _)| {
                     let mut eb_all: Vec<Ts> =
                         bwd_ebs.iter().flatten().copied().chain([eb]).collect();
                     self.b_sorted.len() == n_mb as usize && self.bwd_shift(&mut eb_all, 0) == 0
                 });
                 match accepted {
-                    Some((eb, _)) => {
+                    Some(((eb, _), next)) => {
                         relocated_b[j] = mb + 1;
                         backs[j] = self.back_schedule(partition, j as u32, mb + 1, partition[j]);
                         bwd_ebs[j].push(eb);
@@ -795,11 +960,10 @@ impl<'a> BubbleScheduler<'a> {
             }
         }
 
-        let mut placements = Vec::new();
-        for j in 0..m {
-            placements.extend_from_slice(&fwd_placements[j]);
-            placements.extend_from_slice(&bwd_placements[j]);
-        }
+        let placements: Vec<KernelPlacement> = (fwd_placements.into_iter())
+            .zip(bwd_placements)
+            .flat_map(|(f, b)| f.into_iter().chain(b))
+            .collect();
 
         let total_compute: Ts = (0..m)
             .map(|j| {
@@ -855,9 +1019,9 @@ impl<'a> BubbleScheduler<'a> {
     /// deterministic seeded-random sample (the paper enumerates all
     /// `O(N_mb^{m-1})` options; at large `m` that is intractable and the
     /// balanced region contains the optimum in practice).
-    /// The enumeration is pure and deterministic, so parallel search
-    /// workers can recompute it per work item and slice into it by index;
-    /// its length is `partition_count(n_mb, m, max_partitions)`.
+    /// The enumeration is pure and deterministic: the plan search builds it
+    /// once per candidate and its work items slice into that one list by
+    /// index. Its length is `partition_count(n_mb, m, max_partitions)`.
     pub fn candidate_partitions(
         &self,
         max_partitions: usize,
@@ -903,23 +1067,33 @@ impl<'a> BubbleScheduler<'a> {
         Ok(out)
     }
 
-    /// Best schedule over a slice of partitions; latency ties keep the
+    /// Best scored schedule (see [`BubbleScheduler::score_partition`]) over a
+    /// slice of partitions, without placements; latency ties keep the
     /// earliest partition in the slice, so concatenating slice results in
     /// enumeration order reproduces a full sequential sweep exactly.
-    pub fn schedule_slice(&self, partitions: &[Vec<u32>], fine: bool) -> Option<ScheduleOutcome> {
+    pub(crate) fn score_slice(
+        &self,
+        partitions: &[Vec<u32>],
+        fine: bool,
+    ) -> Option<ScheduleOutcome> {
         let mut best: Option<ScheduleOutcome> = None;
         for partition in partitions {
-            if let Some(outcome) = self.schedule_partition(partition, fine) {
-                if best
-                    .as_ref()
-                    .map(|b| outcome.latency < b.latency)
-                    .unwrap_or(true)
-                {
+            if let Some(outcome) = self.score_partition(partition, fine) {
+                if best.as_ref().is_none_or(|b| outcome.latency < b.latency) {
                     best = Some(outcome);
                 }
             }
         }
         best
+    }
+
+    /// Best schedule over a slice of partitions, with its placements: the
+    /// slice is scored and only the winner is recorded. Latency ties keep
+    /// the earliest partition in the slice, so concatenating slice results
+    /// in enumeration order reproduces a full sequential sweep exactly.
+    pub fn schedule_slice(&self, partitions: &[Vec<u32>], fine: bool) -> Option<ScheduleOutcome> {
+        let best = self.score_slice(partitions, fine)?;
+        self.schedule_partition(&best.partition, fine)
     }
 
     /// Algorithm 2 outer loop: evaluates candidate microbatch partitions and

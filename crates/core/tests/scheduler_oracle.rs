@@ -6,14 +6,19 @@
 //! front), a forward fine step that repacks from pristine tracks and
 //! restores a snapshot on rejection, a backward fine step that repacks the
 //! whole relocated prefix from a post-forward snapshot, and a dependency
-//! check that re-sorts the F/B points on every call. It reads only the
-//! scheduler's public fields.
+//! check that re-sorts the F/B points on every call. It keeps no memo and
+//! reads only the scheduler's public accessors.
 //!
-//! The tests assert that `BubbleScheduler::schedule_partition` returns the
-//! same `ScheduleOutcome`, field for field, as the oracle for every
-//! candidate partition of the 8-GPU workloads, in the fine and the coarse
-//! pass, under a grid of margins (NaN included: it means no margin), slacks
-//! and load scales.
+//! The tests assert, for every candidate partition of the 8-GPU workloads,
+//! in the fine and the coarse pass, under a grid of margins (NaN included:
+//! it means no margin), slacks and load scales, that
+//! `BubbleScheduler::schedule_partition` returns the same `ScheduleOutcome`,
+//! field for field, as the oracle, and that `score_partition` (the memoised
+//! scoring path) returns it without the placements. A scheduler's memo is
+//! shared by every partition it scores, so the tests also sweep chunks of
+//! partitions in reverse and interleaved order on one scheduler and compare
+//! each chunk's `schedule_slice` with the oracle's best and with a fresh
+//! scheduler's.
 
 use optimus_baselines::common::SystemContext;
 use optimus_core::{
@@ -79,7 +84,7 @@ struct BackResult {
     max_end: Ts,
 }
 
-/// The reference scheduler, built from a `BubbleScheduler`'s public fields.
+/// The reference scheduler, built from a `BubbleScheduler`'s public accessors.
 struct Oracle<'a> {
     profile: &'a LlmProfile,
     work: &'a EncoderWork,
@@ -92,12 +97,12 @@ struct Oracle<'a> {
 impl<'a> Oracle<'a> {
     fn of(s: &BubbleScheduler<'a>) -> Oracle<'a> {
         Oracle {
-            profile: s.profile,
-            work: s.work,
-            layout: s.layout,
-            margin: s.margin,
-            slack: s.slack,
-            mb_scales: s.mb_scales.clone(),
+            profile: s.profile(),
+            work: s.work(),
+            layout: s.layout(),
+            margin: s.margin(),
+            slack: s.slack(),
+            mb_scales: s.mb_scales().map(<[f64]>::to_vec),
         }
     }
 
@@ -722,14 +727,43 @@ impl<'a> Oracle<'a> {
 const MARGINS: [f64; 4] = [0.0, 0.3, 0.9, f64::NAN];
 const SLACKS: [f64; 2] = [0.0, 0.2];
 
+/// Partitions per chunk of the interleaved sweeps: the plan search's own
+/// work-item size.
+const CHUNK: usize = 8;
+
 /// What one workload contributed, so the tests can insist that the grid
-/// really exercises the fine pass's relocations.
+/// really exercises the fine pass's relocations and the shared memo.
 #[derive(Debug, Default)]
 struct Coverage {
     compared: usize,
     feasible: usize,
     relocated_fwd: usize,
     relocated_bwd: usize,
+    /// Chunks swept on a shared scheduler after another chunk of the
+    /// same scheduler.
+    shared_chunks: usize,
+}
+
+/// The oracle's best over one chunk's outcomes by the scheduler's tie rule:
+/// the earliest partition of least latency.
+fn oracle_best(outcomes: &[Option<ScheduleOutcome>]) -> Option<ScheduleOutcome> {
+    let mut best: Option<&ScheduleOutcome> = None;
+    for out in outcomes.iter().flatten() {
+        if best.is_none_or(|b| out.latency < b.latency) {
+            best = Some(out);
+        }
+    }
+    best.cloned()
+}
+
+/// Chunk indices `0..n` in reverse, and interleaved from both ends.
+fn chunk_orders(n: usize) -> [Vec<usize>; 2] {
+    let reverse = (0..n).rev().collect();
+    let interleaved = (0..n.div_ceil(2))
+        .flat_map(|i| [i, n - 1 - i])
+        .take(n)
+        .collect();
+    [reverse, interleaved]
 }
 
 /// Compares the scheduler against the oracle on every candidate partition of
@@ -751,32 +785,60 @@ fn compare_workload(llm_plan: ParallelPlan, global_batch: u32) -> Coverage {
         for scales in [None, Some(&skewed)] {
             for margin in MARGINS {
                 for slack in SLACKS {
-                    let mut sched = BubbleScheduler::new(&profile, &work, &cand.layout)
-                        .unwrap()
-                        .with_margin(margin)
-                        .with_slack(slack);
-                    if let Some(sc) = scales {
-                        sched = sched.with_scales(sc.clone()).unwrap();
-                    }
+                    let build = || {
+                        let sched = BubbleScheduler::new(&profile, &work, &cand.layout)
+                            .unwrap()
+                            .with_margin(margin)
+                            .with_slack(slack);
+                        match scales {
+                            Some(sc) => sched.with_scales(sc.clone()).unwrap(),
+                            None => sched,
+                        }
+                    };
+                    let sched = build();
                     let oracle = Oracle::of(&sched);
+                    let case = |partition: &[u32], fine: bool| {
+                        format!(
+                            "{llm_plan} batch {global_batch} enc {} partition {partition:?} \
+                             fine {fine} margin {margin} slack {slack} skewed {}",
+                            cand.plan,
+                            scales.is_some()
+                        )
+                    };
+                    let mut fine_wants = Vec::with_capacity(partitions.len());
                     for partition in &partitions {
                         for fine in [false, true] {
-                            let got = sched.schedule_partition(partition, fine);
                             let want = oracle.schedule_partition(partition, fine);
-                            assert_eq!(
-                                got,
-                                want,
-                                "{llm_plan} batch {global_batch} enc {} partition {partition:?} \
-                                 fine {fine} margin {margin} slack {slack} skewed {}",
-                                cand.plan,
-                                scales.is_some()
-                            );
+                            let got = sched.schedule_partition(partition, fine);
+                            assert_eq!(got, want, "{}", case(partition, fine));
+                            let scored = sched.score_partition(partition, fine);
+                            let unplaced = want.clone().map(|mut o| {
+                                o.placements.clear();
+                                o
+                            });
+                            assert_eq!(scored, unplaced, "scored {}", case(partition, fine));
                             cov.compared += 1;
-                            if let Some(out) = want {
+                            if let Some(out) = &want {
                                 cov.feasible += 1;
                                 cov.relocated_fwd += usize::from(out.relocated.0 > 0);
                                 cov.relocated_bwd += usize::from(out.relocated.1 > 0);
                             }
+                            if fine {
+                                fine_wants.push(want);
+                            }
+                        }
+                    }
+                    let chunks: Vec<&[Vec<u32>]> = partitions.chunks(CHUNK).collect();
+                    let wants: Vec<&[Option<ScheduleOutcome>]> = fine_wants.chunks(CHUNK).collect();
+                    for order in chunk_orders(chunks.len()) {
+                        let shared = build();
+                        for (swept, &c) in order.iter().enumerate() {
+                            let got = shared.schedule_slice(chunks[c], true);
+                            let want = oracle_best(wants[c]);
+                            assert_eq!(got, want, "chunk {c} of {order:?}: {}", case(&[], true));
+                            let fresh = build().schedule_slice(chunks[c], true);
+                            assert_eq!(got, fresh, "chunk {c} of {order:?}: {}", case(&[], true));
+                            cov.shared_chunks += usize::from(swept > 0);
                         }
                     }
                 }
@@ -790,14 +852,20 @@ fn compare_workload(llm_plan: ParallelPlan, global_batch: u32) -> Coverage {
 #[test]
 fn matches_oracle_on_one_f_one_b() {
     let cov = compare_workload(ParallelPlan::new(2, 2, 2).unwrap(), 16);
-    assert!(cov.feasible > 0 && cov.relocated_fwd > 0, "{cov:?}");
+    assert!(
+        cov.feasible > 0 && cov.relocated_fwd > 0 && cov.shared_chunks > 0,
+        "{cov:?}"
+    );
 }
 
 /// The CLI's `--model small` default: interleaved 1F1B with two chunks.
 #[test]
 fn matches_oracle_on_interleaved() {
     let cov = compare_workload(ParallelPlan::with_vpp(2, 2, 2, 2).unwrap(), 16);
-    assert!(cov.feasible > 0 && cov.relocated_fwd > 0, "{cov:?}");
+    assert!(
+        cov.feasible > 0 && cov.relocated_fwd > 0 && cov.shared_chunks > 0,
+        "{cov:?}"
+    );
 }
 
 /// The multi-lane LLM plan of the static-lint tests (PP=2, TP=4) at 8
@@ -806,7 +874,7 @@ fn matches_oracle_on_interleaved() {
 fn matches_oracle_on_multi_lane() {
     let cov = compare_workload(ParallelPlan::new(1, 2, 4).unwrap(), 8);
     assert!(
-        cov.feasible > 0 && cov.relocated_fwd > 0 && cov.relocated_bwd > 0,
+        cov.feasible > 0 && cov.relocated_fwd > 0 && cov.relocated_bwd > 0 && cov.shared_chunks > 0,
         "{cov:?}"
     );
 }
