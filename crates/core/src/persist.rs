@@ -6,10 +6,14 @@
 //! coarse blocks, dependency metadata) to JSON and validates on load that
 //! it matches the workload it is applied to.
 //!
+//! In memory a schedule keeps its placements — thousands per plan — as one
+//! canonical varint byte stream (`PackedPlacements`), about a tenth of
+//! the decoded size. Only JSON output and [`SavedSchedule::to_outcome`]
+//! decode it, and only bytes this module encoded ever reach the decoder.
+//!
 //! Serialisation is hand-rolled over [`optimus_json`] so the workspace
 //! builds with no registry dependencies.
 
-use std::borrow::Cow;
 use std::io::{Read, Write};
 
 use optimus_json::{Json, JsonError};
@@ -99,8 +103,8 @@ impl TryFrom<PlanDto> for ParallelPlan {
     }
 }
 
-/// Kernel labels the scheduler emits. A loaded label that matches one
-/// borrows it, so a saved schedule holds no heap string per placement.
+/// Kernel labels the scheduler emits. A placement whose label is one of
+/// them stores its index, so a saved schedule holds no string per placement.
 const KERNEL_LABELS: [&str; 28] = [
     "tp_allgather_attn",
     "layernorm1",
@@ -137,8 +141,10 @@ fn known_label(label: &str) -> Option<&'static str> {
     KERNEL_LABELS.iter().find(|&&l| l == label).copied()
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct PlacementDto {
+/// One placement, decoded. Known labels are `&'static`; unknown ones borrow
+/// from the JSON document or from [`PackedPlacements::unknown`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PlacementDto<'a> {
     pipeline: u32,
     enc_stage: u32,
     microbatch: u32,
@@ -147,12 +153,12 @@ struct PlacementDto {
     start: Ts,
     end: Ts,
     comm: bool,
-    label: Cow<'static, str>,
+    label: &'a str,
     anchor: u32,
 }
 
-impl PlacementDto {
-    fn to_json(&self) -> Json {
+impl<'a> PlacementDto<'a> {
+    fn to_json(self) -> Json {
         Json::obj(vec![
             ("pipeline", Json::from(self.pipeline)),
             ("enc_stage", Json::from(self.enc_stage)),
@@ -162,13 +168,12 @@ impl PlacementDto {
             ("start", ts_json(self.start)),
             ("end", ts_json(self.end)),
             ("comm", Json::from(self.comm)),
-            ("label", Json::from(self.label.as_ref())),
+            ("label", Json::from(self.label)),
             ("anchor", Json::from(self.anchor)),
         ])
     }
 
-    fn from_json(v: &Json) -> Result<PlacementDto, JsonError> {
-        let label = v.field("label")?.as_str()?;
+    fn from_json(v: &'a Json) -> Result<PlacementDto<'a>, JsonError> {
         Ok(PlacementDto {
             pipeline: v.field("pipeline")?.as_u32()?,
             enc_stage: v.field("enc_stage")?.as_u32()?,
@@ -178,11 +183,193 @@ impl PlacementDto {
             start: v.field("start")?.as_i64()?,
             end: v.field("end")?.as_i64()?,
             comm: v.field("comm")?.as_bool()?,
-            label: known_label(label).map_or_else(|| Cow::Owned(label.to_string()), Cow::Borrowed),
+            label: v.field("label")?.as_str()?,
             anchor: v.field("anchor")?.as_u32()?,
         })
     }
+
+    fn chain(&self) -> Chain {
+        (
+            self.pipeline,
+            self.enc_stage,
+            self.microbatch,
+            self.dir,
+            self.llm_stage,
+        )
+    }
 }
+
+/// The fields consecutive placements of one kernel chain share: pipeline,
+/// encoder stage, microbatch, direction and LLM stage.
+type Chain = (u32, u32, u32, Dir, u32);
+
+/// Placements packed as one canonical varint byte stream.
+///
+/// Each placement is a varint head `label << 2 | comm << 1 | new_chain`.
+/// When its chain differs from the previous placement's, the five chain
+/// fields follow. Then come zigzag varints of the start minus the previous
+/// end, of the duration and of the anchor minus the previous anchor, all
+/// with wrapping arithmetic, so every `i64` and `u32` round-trips. `label`
+/// indexes [`KERNEL_LABELS`]; past it, [`Self::unknown`]. The bytes are a
+/// function of the placement list, so `==` here is `==` on the placements.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct PackedPlacements {
+    /// Number of placements.
+    len: usize,
+    bytes: Vec<u8>,
+    /// Labels outside [`KERNEL_LABELS`], once each, in first-use order.
+    unknown: Vec<String>,
+}
+
+/// The state each placement is encoded against: the previous placement's
+/// chain, end and anchor.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    chain: Option<Chain>,
+    end: Ts,
+    anchor: u32,
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn take_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut v = 0;
+    for shift in (0..64).step_by(7) {
+        let b = bytes[*pos];
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            break;
+        }
+    }
+    v
+}
+
+fn zigzag(d: i64) -> u64 {
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> i64 {
+    (z >> 1) as i64 ^ -((z & 1) as i64)
+}
+
+/// Directions by their code in the packed stream.
+const DIRS: [Dir; 3] = [Dir::Fwd, Dir::Bwd, Dir::Wgrad];
+
+impl PackedPlacements {
+    fn pack<'a>(placements: impl IntoIterator<Item = PlacementDto<'a>>) -> PackedPlacements {
+        let mut packed = PackedPlacements::default();
+        let mut at = Cursor::default();
+        for p in placements {
+            let label = match KERNEL_LABELS.iter().position(|&l| l == p.label) {
+                Some(i) => i,
+                None => {
+                    let unknown = &mut packed.unknown;
+                    let i = (unknown.iter().position(|l| l == p.label)).unwrap_or_else(|| {
+                        unknown.push(p.label.to_string());
+                        unknown.len() - 1
+                    });
+                    KERNEL_LABELS.len() + i
+                }
+            };
+            let chain = p.chain();
+            let new_chain = at.chain != Some(chain);
+            let head = (label as u64) << 2 | u64::from(p.comm) << 1 | u64::from(new_chain);
+            put_varint(&mut packed.bytes, head);
+            if new_chain {
+                let dir = DIRS.iter().position(|&d| d == p.dir).expect("every Dir") as u32;
+                for v in [p.pipeline, p.enc_stage, p.microbatch, dir, p.llm_stage] {
+                    put_varint(&mut packed.bytes, v.into());
+                }
+            }
+            for d in [
+                p.start.wrapping_sub(at.end),
+                p.end.wrapping_sub(p.start),
+                i64::from(p.anchor) - i64::from(at.anchor),
+            ] {
+                put_varint(&mut packed.bytes, zigzag(d));
+            }
+            at = Cursor {
+                chain: Some(chain),
+                end: p.end,
+                anchor: p.anchor,
+            };
+            packed.len += 1;
+        }
+        packed.bytes.shrink_to_fit();
+        packed
+    }
+
+    fn iter(&self) -> Unpack<'_> {
+        Unpack {
+            packed: self,
+            pos: 0,
+            left: self.len,
+            at: Cursor::default(),
+        }
+    }
+}
+
+/// Decodes a [`PackedPlacements`] in order.
+struct Unpack<'a> {
+    packed: &'a PackedPlacements,
+    pos: usize,
+    left: usize,
+    at: Cursor,
+}
+
+impl<'a> Iterator for Unpack<'a> {
+    type Item = PlacementDto<'a>;
+
+    fn next(&mut self) -> Option<PlacementDto<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        let (packed, at) = (self.packed, &mut self.at);
+        let mut next = || take_varint(&packed.bytes, &mut self.pos);
+        let head = next();
+        if head & 1 == 1 {
+            let mut field = || next() as u32;
+            let (pipeline, enc_stage, microbatch) = (field(), field(), field());
+            let dir = DIRS[field() as usize];
+            at.chain = Some((pipeline, enc_stage, microbatch, dir, field()));
+        }
+        let (pipeline, enc_stage, microbatch, dir, llm_stage) =
+            at.chain.expect("the first placement opens a chain");
+        let start = at.end.wrapping_add(unzigzag(next()));
+        let end = start.wrapping_add(unzigzag(next()));
+        let anchor = (i64::from(at.anchor) + unzigzag(next())) as u32;
+        at.end = end;
+        at.anchor = anchor;
+        let code = (head >> 2) as usize;
+        let label: &str = match KERNEL_LABELS.get(code) {
+            Some(&l) => l,
+            None => &packed.unknown[code - KERNEL_LABELS.len()],
+        };
+        Some(PlacementDto {
+            pipeline,
+            enc_stage,
+            microbatch,
+            dir,
+            llm_stage,
+            start,
+            end,
+            comm: head & 2 != 0,
+            label,
+            anchor,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Unpack<'_> {}
 
 #[derive(Debug, Clone, PartialEq)]
 struct BlockDto {
@@ -263,7 +450,7 @@ pub struct SavedSchedule {
     ef: Vec<Ts>,
     /// Encoder backward start times.
     eb: Vec<Ts>,
-    placements: Vec<PlacementDto>,
+    placements: PackedPlacements,
     blocks: Vec<BlockDto>,
 }
 
@@ -290,22 +477,18 @@ impl SavedSchedule {
             trace_fp: String::new(),
             ef: o.ef.clone(),
             eb: o.eb.clone(),
-            placements: o
-                .placements
-                .iter()
-                .map(|p| PlacementDto {
-                    pipeline: p.pipeline,
-                    enc_stage: p.enc_stage,
-                    microbatch: p.microbatch,
-                    dir: p.dir,
-                    llm_stage: p.llm_stage,
-                    start: p.start,
-                    end: p.end,
-                    comm: p.comm,
-                    label: Cow::Borrowed(p.label),
-                    anchor: p.anchor,
-                })
-                .collect(),
+            placements: PackedPlacements::pack(o.placements.iter().map(|p| PlacementDto {
+                pipeline: p.pipeline,
+                enc_stage: p.enc_stage,
+                microbatch: p.microbatch,
+                dir: p.dir,
+                llm_stage: p.llm_stage,
+                start: p.start,
+                end: p.end,
+                comm: p.comm,
+                label: p.label,
+                anchor: p.anchor,
+            })),
             blocks: o
                 .blocks
                 .iter()
@@ -419,12 +602,11 @@ impl SavedSchedule {
             trace_fp: fp("trace_fp")?,
             ef: ts_vec(v.field("ef")?)?,
             eb: ts_vec(v.field("eb")?)?,
-            placements: v
-                .field("placements")?
-                .as_arr()?
-                .iter()
-                .map(PlacementDto::from_json)
-                .collect::<Result<_, _>>()?,
+            placements: PackedPlacements::pack(
+                (v.field("placements")?.as_arr()?.iter())
+                    .map(PlacementDto::from_json)
+                    .collect::<Result<Vec<_>, _>>()?,
+            ),
             blocks: v
                 .field("blocks")?
                 .as_arr()?
@@ -514,9 +696,7 @@ impl SavedSchedule {
                     dir: b.dir,
                 })
                 .collect(),
-            placements: self
-                .placements
-                .iter()
+            placements: (self.placements.iter())
                 .map(|p| KernelPlacement {
                     pipeline: p.pipeline,
                     enc_stage: p.enc_stage,
@@ -526,7 +706,7 @@ impl SavedSchedule {
                     start: p.start,
                     end: p.end,
                     comm: p.comm,
-                    label: known_label(&p.label).unwrap_or("enc_kernel"),
+                    label: known_label(p.label).unwrap_or("enc_kernel"),
                     anchor: p.anchor,
                 })
                 .collect(),
@@ -545,6 +725,8 @@ mod tests {
     use super::*;
     use crate::optimus::{run_optimus, OptimusConfig};
     use optimus_baselines::common::SystemContext;
+    use optimus_detrand::rngs::StdRng;
+    use optimus_detrand::{RngExt, SeedableRng};
     use optimus_modeling::MllmConfig;
 
     fn run() -> (OptimusRun, Workload) {
@@ -641,18 +823,195 @@ mod tests {
     #[test]
     fn labels_borrow_known_names_and_keep_unknown_ones() {
         let (r, w) = run();
-        let mut saved = SavedSchedule::capture(&r, &w);
-        assert!(!saved.placements.is_empty());
-        saved.placements[0].label = Cow::Owned("custom_kernel".into());
+        let saved = SavedSchedule::capture(&r, &w);
+        assert!(saved.placements.len > 1);
+        // Known labels hold no heap string: they are table indices.
+        assert!(saved.placements.unknown.is_empty());
+        let mut list: Vec<PlacementDto<'_>> = saved.placements.iter().collect();
+        list[0].label = "custom_kernel";
+        let saved = SavedSchedule {
+            placements: PackedPlacements::pack(list),
+            ..saved
+        };
         let mut first = Vec::new();
         saved.save(&mut first).unwrap();
         let loaded = SavedSchedule::load(first.as_slice()).unwrap();
         assert_eq!(loaded, saved);
-        assert_eq!(loaded.placements[0].label, "custom_kernel");
-        assert!((loaded.placements[1..].iter()).all(|p| matches!(p.label, Cow::Borrowed(_))));
+        let labels: Vec<&str> = loaded.placements.iter().map(|p| p.label).collect();
+        assert_eq!(labels[0], "custom_kernel");
+        // The unknown label is the only string the schedule holds; every
+        // other label decodes to an entry of the known-label table.
+        assert_eq!(loaded.placements.unknown, ["custom_kernel"]);
+        assert!(labels[1..].iter().all(|l| KERNEL_LABELS.contains(l)));
+        // An unknown label survives save -> load -> save byte for byte.
         let mut second = Vec::new();
         loaded.save(&mut second).unwrap();
         assert_eq!(first, second);
+    }
+
+    fn pick(rng: &mut StdRng, n: u32) -> u32 {
+        rng.random_range(0..n)
+    }
+
+    /// A timestamp near `base`, earlier or later, or an `i64` extreme.
+    fn ts(rng: &mut StdRng, base: Ts) -> Ts {
+        match pick(rng, 6) {
+            0 => Ts::MIN,
+            1 => Ts::MAX,
+            2 => base.saturating_sub(pick(rng, 1_000_000).into()),
+            _ => base.saturating_add(pick(rng, 40_000).into()),
+        }
+    }
+
+    /// A small chain field, or `u32::MAX`.
+    fn field(rng: &mut StdRng) -> u32 {
+        match pick(rng, 8) {
+            0 => u32::MAX,
+            _ => pick(rng, 4),
+        }
+    }
+
+    /// Seeded placement lists over every field's extremes: negative start
+    /// deltas, `i64::MIN`/`i64::MAX` starts and ends, `u32::MAX` anchors and
+    /// chain fields, every `Dir`, `comm` both ways and repeated unknown
+    /// labels. Also returns the unknown labels in first-use order.
+    fn seeded_placements(seed: u64) -> (Vec<PlacementDto<'static>>, Vec<&'static str>) {
+        const UNKNOWN: [&str; 3] = ["custom_a", "custom_b", "custom \"quoted\" é"];
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let mut out: Vec<PlacementDto<'static>> = Vec::new();
+        let mut unknown = Vec::new();
+        for _ in 0..pick(rng, 200) {
+            let mut p = match out.last() {
+                Some(&p) if pick(rng, 3) != 0 => p,
+                _ => PlacementDto {
+                    pipeline: field(rng),
+                    enc_stage: field(rng),
+                    microbatch: field(rng),
+                    dir: DIRS[pick(rng, 3) as usize],
+                    llm_stage: field(rng),
+                    start: 0,
+                    end: 0,
+                    comm: false,
+                    label: "",
+                    anchor: 0,
+                },
+            };
+            p.start = ts(rng, out.last().map_or(0, |q| q.end));
+            p.end = ts(rng, p.start.saturating_add(1));
+            p.comm = pick(rng, 2) == 0;
+            p.label = match pick(rng, 4) {
+                0 => UNKNOWN[pick(rng, 3) as usize],
+                _ => KERNEL_LABELS[pick(rng, KERNEL_LABELS.len() as u32) as usize],
+            };
+            p.anchor = match pick(rng, 5) {
+                0 => u32::MAX,
+                1 => 0,
+                _ => pick(rng, 5_000),
+            };
+            if UNKNOWN.contains(&p.label) && !unknown.contains(&p.label) {
+                unknown.push(p.label);
+            }
+            out.push(p);
+        }
+        (out, unknown)
+    }
+
+    #[test]
+    fn packed_placements_round_trip_seeded_extremes() {
+        let (mut negative, mut extremes, mut max_anchor, mut repeated) = (0, 0, 0, 0);
+        let mut dirs = [0; 3];
+        let mut comm = [0; 2];
+        for seed in 0..400 {
+            let (list, unknown) = seeded_placements(seed);
+            let packed = PackedPlacements::pack(list.iter().copied());
+            assert_eq!(packed.len, list.len());
+            assert_eq!(packed.iter().len(), list.len());
+            assert_eq!(packed.iter().collect::<Vec<_>>(), list, "seed {seed}");
+            assert_eq!(packed.unknown, unknown, "seed {seed}: side table");
+            assert_eq!(packed.bytes.is_empty(), list.is_empty());
+            for w in list.windows(2) {
+                negative += usize::from(w[1].start < w[0].end);
+            }
+            for p in &list {
+                extremes += usize::from([Ts::MIN, Ts::MAX].contains(&p.start));
+                max_anchor += usize::from(p.anchor == u32::MAX);
+                dirs[DIRS.iter().position(|&d| d == p.dir).unwrap()] += 1;
+                comm[usize::from(p.comm)] += 1;
+            }
+            let unknown_uses = list.iter().filter(|p| unknown.contains(&p.label)).count();
+            repeated += usize::from(unknown_uses > unknown.len());
+        }
+        for (what, n) in [
+            ("negative start deltas", negative),
+            ("i64 extremes", extremes),
+            ("u32::MAX anchors", max_anchor),
+            ("fwd", dirs[0]),
+            ("bwd", dirs[1]),
+            ("wgrad", dirs[2]),
+            ("compute", comm[0]),
+            ("comm", comm[1]),
+            ("repeated unknown labels", repeated),
+        ] {
+            assert!(n >= 50, "only {n} cases of {what}");
+        }
+    }
+
+    #[test]
+    fn packed_equality_is_placement_equality() {
+        let mut pairs = [0; 2];
+        for seed in 0..200 {
+            let (a, _) = seeded_placements(seed);
+            // A copy that differs in at most one field of one placement.
+            let mut b = a.clone();
+            let rng = &mut StdRng::seed_from_u64(!seed);
+            if !b.is_empty() {
+                let p = &mut b[pick(rng, a.len() as u32) as usize];
+                match pick(rng, 11) {
+                    0 => p.pipeline ^= 1,
+                    1 => p.enc_stage ^= 1,
+                    2 => p.microbatch ^= 1,
+                    3 => p.dir = DIRS[pick(rng, 3) as usize],
+                    4 => p.llm_stage ^= 1,
+                    5 => p.start = p.start.wrapping_add(1),
+                    6 => p.end = p.end.wrapping_sub(1),
+                    7 => p.comm = !p.comm,
+                    8 => p.label = "custom_c",
+                    9 => p.anchor ^= 1,
+                    _ => {}
+                }
+            }
+            let (pa, pb) = (
+                PackedPlacements::pack(a.clone()),
+                PackedPlacements::pack(b.clone()),
+            );
+            assert_eq!(pa == pb, a == b, "seed {seed}");
+            pairs[usize::from(a == b)] += 1;
+        }
+        assert!(pairs[0] >= 50 && pairs[1] >= 10, "{pairs:?}");
+    }
+
+    #[test]
+    fn v1_fixture_loads_and_saves_its_own_bytes() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/saved_schedule_v1.json"
+        );
+        let text = std::fs::read_to_string(path).unwrap();
+        let saved = SavedSchedule::load(text.as_bytes()).unwrap();
+        assert!(saved.placements.len > 0 && saved.placements.unknown.is_empty());
+        let mut buf = Vec::new();
+        saved.save(&mut buf).unwrap();
+        // v1 files carry no fingerprint fields; the rest is `save`'s bytes.
+        let v1: Vec<&str> = std::str::from_utf8(&buf)
+            .unwrap()
+            .lines()
+            .filter(|l| {
+                !["topology_fp", "model_fp", "trace_fp"]
+                    .iter()
+                    .any(|f| l.contains(f))
+            })
+            .collect();
+        assert_eq!(v1.join("\n"), text);
     }
 
     #[test]

@@ -260,17 +260,24 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_num(out: &mut String, n: f64) {
+/// Appends `n` as [`Json::to_compact`] writes a number: integers below 9e15
+/// without a fraction, anything else in Rust's shortest round-trip form.
+pub fn write_num(out: &mut String, n: f64) {
+    use fmt::Write;
+    // Writing into a `String` cannot fail.
     if n.fract() == 0.0 && n.abs() < 9e15 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
         // Ryū-style shortest float formatting is what `{}` gives us; it
         // round-trips through the parser exactly.
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Appends `s` as a quoted, escaped JSON string, as [`Json::to_compact`]
+/// writes one.
+pub fn write_str(out: &mut String, s: &str) {
+    use fmt::Write;
     out.push('"');
     for c in s.chars() {
         match c {
@@ -279,7 +286,9 @@ fn write_str(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

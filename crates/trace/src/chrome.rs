@@ -1,12 +1,15 @@
 //! Chrome-trace (about://tracing, Perfetto) export of simulation timelines.
 //!
-//! All string content is emitted through `optimus-json`, so task labels and
+//! Events are written straight into one pre-sized buffer with
+//! `optimus-json`'s own string and number formatters, so the bytes are those
+//! of the equivalent `Json` tree's `to_compact`, and task labels and
 //! annotation text containing quotes, backslashes or control characters are
 //! escaped rather than corrupting the trace.
 
+use std::fmt::Write as _;
 use std::io::Write;
 
-use optimus_json::Json;
+use optimus_json::{write_num, write_str};
 use optimus_sim::{SimResult, Stream, TaskGraph};
 
 /// A point event overlaid on the timeline — fault occurrences, drift alarms,
@@ -58,26 +61,62 @@ pub const TRACK_CATEGORIES: [&str; Stream::COUNT + 3] = [
     "compute", "tp_comm", "p2p", "dp_comm", "enc_p2p", "fault", "recovery", "fill",
 ];
 
-/// Appends the fault and recovery annotations as thread-scoped instant
-/// events (`"ph":"i"`) on their tracks, with the detail text in `args`.
-fn push_instants(events: &mut Vec<Json>, faults: &[TraceAnnotation], recovery: &[TraceAnnotation]) {
-    for (tid, anns) in [(ANNOTATION_TID, faults), (RECOVERY_TID, recovery)] {
-        for a in anns {
-            events.push(Json::obj(vec![
-                ("name", Json::from(a.label.clone())),
-                ("cat", Json::from(TRACK_CATEGORIES[tid as usize])),
-                ("ph", Json::from("i")),
-                // Thread-scoped instant: renders as a marker on its track.
-                ("s", Json::from("t")),
-                ("ts", Json::from(a.at_us)),
-                ("pid", Json::from(a.device)),
-                ("tid", Json::from(tid)),
-                (
-                    "args",
-                    Json::obj(vec![("detail", Json::from(a.detail.clone()))]),
-                ),
-            ]));
+/// A Chrome-trace JSON array under construction.
+struct Events(String);
+
+impl Events {
+    /// Room for `n` events of typical size, so writing rarely reallocates.
+    fn with_capacity(n: usize) -> Events {
+        let mut out = String::with_capacity(2 + n * 112);
+        out.push('[');
+        Events(out)
+    }
+
+    /// Opens an event object: its name, its track's category and phase.
+    fn open(&mut self, name: &str, tid: u32, ph: &str) -> &mut String {
+        let out = &mut self.0;
+        if out.len() > 1 {
+            out.push(',');
         }
+        out.push_str("{\"name\":");
+        write_str(out, name);
+        out.push_str(",\"cat\":");
+        write_str(out, TRACK_CATEGORIES[tid as usize]);
+        out.push_str(",\"ph\":");
+        write_str(out, ph);
+        out
+    }
+
+    /// A complete (`"ph":"X"`) duration event.
+    fn span(&mut self, name: &str, pid: u32, tid: u32, ts_us: f64, dur_us: f64) {
+        let out = self.open(name, tid, "X");
+        out.push_str(",\"ts\":");
+        write_num(out, ts_us);
+        out.push_str(",\"dur\":");
+        write_num(out, dur_us);
+        let _ = write!(out, ",\"pid\":{pid},\"tid\":{tid}}}");
+    }
+
+    /// Thread-scoped instant events (`"ph":"i"`, rendered as a marker on
+    /// their track) with the detail text in `args`.
+    fn instants(&mut self, tid: u32, anns: &[TraceAnnotation]) {
+        for a in anns {
+            let out = self.open(&a.label, tid, "i");
+            out.push_str(",\"s\":\"t\",\"ts\":");
+            write_num(out, a.at_us);
+            let _ = write!(
+                out,
+                ",\"pid\":{},\"tid\":{tid},\"args\":{{\"detail\":",
+                a.device
+            );
+            write_str(out, &a.detail);
+            out.push_str("}}");
+        }
+    }
+
+    fn finish<W: Write>(mut self, mut out: W) -> std::io::Result<()> {
+        self.0.push(']');
+        out.write_all(self.0.as_bytes())
     }
 }
 
@@ -102,23 +141,22 @@ pub fn write_chrome_trace<W: Write>(
     faults: &[TraceAnnotation],
     recovery: &[TraceAnnotation],
     fill: &[FillTraceSpan],
-    mut out: W,
+    out: W,
 ) -> std::io::Result<()> {
-    let mut events = Vec::with_capacity(graph.len() + faults.len() + recovery.len() + fill.len());
+    let mut events =
+        Events::with_capacity(graph.len() + faults.len() + recovery.len() + fill.len());
     for t in graph.tasks() {
         let span = result.span(t.id);
-        let tid = t.stream.index();
-        events.push(Json::obj(vec![
-            ("name", Json::from(t.label)),
-            ("cat", Json::from(TRACK_CATEGORIES[tid])),
-            ("ph", Json::from("X")),
-            ("ts", Json::from(span.start.as_micros_f64())),
-            ("dur", Json::from(span.duration().as_micros_f64())),
-            ("pid", Json::from(t.device)),
-            ("tid", Json::from(tid as u32)),
-        ]));
+        events.span(
+            t.label,
+            t.device,
+            t.stream.index() as u32,
+            span.start.as_micros_f64(),
+            span.duration().as_micros_f64(),
+        );
     }
-    push_instants(&mut events, faults, recovery);
+    events.instants(ANNOTATION_TID, faults);
+    events.instants(RECOVERY_TID, recovery);
     let mut ordered: Vec<&FillTraceSpan> = fill.iter().collect();
     ordered.sort_by(|a, b| {
         a.device
@@ -126,17 +164,9 @@ pub fn write_chrome_trace<W: Write>(
             .then(a.start_us.total_cmp(&b.start_us))
     });
     for s in ordered {
-        events.push(Json::obj(vec![
-            ("name", Json::from(s.label.clone())),
-            ("cat", Json::from(TRACK_CATEGORIES[FILL_TID as usize])),
-            ("ph", Json::from("X")),
-            ("ts", Json::from(s.start_us)),
-            ("dur", Json::from(s.dur_us)),
-            ("pid", Json::from(s.device)),
-            ("tid", Json::from(FILL_TID)),
-        ]));
+        events.span(&s.label, s.device, FILL_TID, s.start_us, s.dur_us);
     }
-    out.write_all(Json::Arr(events).to_compact().as_bytes())
+    events.finish(out)
 }
 
 /// Serialises a *fault-event trace*: instant events only, no task graph.
@@ -151,18 +181,146 @@ pub fn write_chrome_trace<W: Write>(
 pub fn write_fault_event_trace<W: Write>(
     faults: &[TraceAnnotation],
     recovery: &[TraceAnnotation],
-    mut out: W,
+    out: W,
 ) -> std::io::Result<()> {
-    let mut events = Vec::with_capacity(faults.len() + recovery.len());
-    push_instants(&mut events, faults, recovery);
-    out.write_all(Json::Arr(events).to_compact().as_bytes())
+    let mut events = Events::with_capacity(faults.len() + recovery.len());
+    events.instants(ANNOTATION_TID, faults);
+    events.instants(RECOVERY_TID, recovery);
+    events.finish(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use optimus_cluster::DurNs;
+    use optimus_json::Json;
     use optimus_sim::{simulate, TaskKind};
+
+    /// The writers' output as a `Json` tree rendered by `to_compact`: the
+    /// construction the direct writers replaced, kept as their reference.
+    fn tree_trace(
+        graph: Option<(&TaskGraph, &SimResult)>,
+        faults: &[TraceAnnotation],
+        recovery: &[TraceAnnotation],
+        fill: &[FillTraceSpan],
+    ) -> String {
+        let mut events = Vec::new();
+        if let Some((g, r)) = graph {
+            for t in g.tasks() {
+                let span = r.span(t.id);
+                let tid = t.stream.index();
+                events.push(Json::obj(vec![
+                    ("name", Json::from(t.label)),
+                    ("cat", Json::from(TRACK_CATEGORIES[tid])),
+                    ("ph", Json::from("X")),
+                    ("ts", Json::from(span.start.as_micros_f64())),
+                    ("dur", Json::from(span.duration().as_micros_f64())),
+                    ("pid", Json::from(t.device)),
+                    ("tid", Json::from(tid as u32)),
+                ]));
+            }
+        }
+        for (tid, anns) in [(ANNOTATION_TID, faults), (RECOVERY_TID, recovery)] {
+            for a in anns {
+                events.push(Json::obj(vec![
+                    ("name", Json::from(a.label.clone())),
+                    ("cat", Json::from(TRACK_CATEGORIES[tid as usize])),
+                    ("ph", Json::from("i")),
+                    ("s", Json::from("t")),
+                    ("ts", Json::from(a.at_us)),
+                    ("pid", Json::from(a.device)),
+                    ("tid", Json::from(tid)),
+                    (
+                        "args",
+                        Json::obj(vec![("detail", Json::from(a.detail.clone()))]),
+                    ),
+                ]));
+            }
+        }
+        let mut ordered: Vec<&FillTraceSpan> = fill.iter().collect();
+        ordered.sort_by(|a, b| {
+            a.device
+                .cmp(&b.device)
+                .then(a.start_us.total_cmp(&b.start_us))
+        });
+        for s in ordered {
+            events.push(Json::obj(vec![
+                ("name", Json::from(s.label.clone())),
+                ("cat", Json::from(TRACK_CATEGORIES[FILL_TID as usize])),
+                ("ph", Json::from("X")),
+                ("ts", Json::from(s.start_us)),
+                ("dur", Json::from(s.dur_us)),
+                ("pid", Json::from(s.device)),
+                ("tid", Json::from(FILL_TID)),
+            ]));
+        }
+        Json::Arr(events).to_compact()
+    }
+
+    #[test]
+    fn direct_writers_match_the_json_tree_byte_for_byte() {
+        let mut g = TaskGraph::new(3);
+        let mut prev = vec![];
+        for (i, label) in ["fwd \"q\" \\ é\u{1}", "b", "recv\t"].iter().enumerate() {
+            let stream = [Stream::Compute, Stream::TpComm, Stream::P2p][i];
+            let t = g.push(
+                label,
+                i as u32,
+                stream,
+                DurNs(1_234 * i as u64 + 7),
+                TaskKind::Generic,
+                prev,
+            );
+            prev = vec![t];
+        }
+        g.push("z", 2, Stream::DpComm, DurNs(0), TaskKind::Generic, vec![]);
+        let r = simulate(&g).unwrap();
+        let ann = |label: &str, device: u32, at_us: f64, detail: &str| TraceAnnotation {
+            label: label.into(),
+            device,
+            at_us,
+            detail: detail.into(),
+        };
+        let faults = [
+            ann("fail\"stop", 0, 0.1, "path\\with\nnewline\u{1f}"),
+            ann("gpu", 7, 3.6e12, "month-long"),
+            ann("host", 2, 1e16, ""),
+            ann("neg", 1, -2.5, "ü€𝄞"),
+        ];
+        let recovery = [ann("rollback", 0, 0.4, "to ckpt 3"), ann("", 1, 0.0, "x")];
+        let fill = [
+            FillTraceSpan {
+                label: "fill eval chunk1".into(),
+                device: 1,
+                start_us: 0.6,
+                dur_us: 0.2,
+            },
+            FillTraceSpan {
+                label: "fill \"load\"".into(),
+                device: 0,
+                start_us: 1.0 / 3.0,
+                dur_us: 12345.0,
+            },
+        ];
+        for (f, rc, fl) in [
+            (&[][..], &[][..], &[][..]),
+            (&faults[..], &[][..], &[][..]),
+            (&faults[..], &recovery[..], &fill[..]),
+        ] {
+            let mut buf = Vec::new();
+            write_chrome_trace(&g, &r, f, rc, fl, &mut buf).unwrap();
+            assert_eq!(
+                String::from_utf8(buf).unwrap(),
+                tree_trace(Some((&g, &r)), f, rc, fl)
+            );
+            let mut buf = Vec::new();
+            write_fault_event_trace(f, rc, &mut buf).unwrap();
+            assert_eq!(
+                String::from_utf8(buf).unwrap(),
+                tree_trace(None, f, rc, &[])
+            );
+        }
+    }
 
     #[test]
     fn trace_is_valid_json_with_all_tasks() {
