@@ -18,7 +18,7 @@ use optimus_pipeline::{
     dependency_points, interleaved_1f1b, lower, one_f_one_b, simulate_pipeline, zero_bubble_h1,
     Lowered, PipelineSchedule, PipelineSpec, StageSpec,
 };
-use optimus_sim::{ExecDag, SimResult, Stream, TaskKind};
+use optimus_sim::{SimResult, Stream, TaskGraph, TaskKind};
 
 use crate::error::OptimusError;
 
@@ -353,9 +353,8 @@ impl LlmProfile {
         let dep = dependency_points(&lowered, &result, n_mb, adjusted)?;
 
         let makespan = result.makespan().0 as Ts;
-        let dag = ExecDag::new(&lowered.graph);
         let devices = (0..llm_plan.pp)
-            .map(|d| extract_device(&dag, &result, d, makespan))
+            .map(|d| extract_device(&lowered.graph, &result, d, makespan))
             .collect();
 
         Ok(LlmProfile {
@@ -381,16 +380,16 @@ impl LlmProfile {
 }
 
 fn extract_device(
-    dag: &ExecDag<'_>,
+    graph: &TaskGraph,
     result: &SimResult,
     device: u32,
     makespan: Ts,
 ) -> DeviceProfile {
-    let compute: Vec<(Ts, Ts)> = (dag.stream_spans(result, device, Stream::Compute).iter())
+    let compute: Vec<(Ts, Ts)> = (result.stream_spans(graph, device, Stream::Compute).iter())
         .map(|s| (s.start.0 as Ts, s.end.0 as Ts))
         .collect();
-    let mut tp_spans: Vec<(Ts, Ts)> = (dag.device_tasks(device).iter())
-        .filter(|&&t| dag.graph().task(t).kind == TaskKind::LlmTpComm)
+    let mut tp_spans: Vec<(Ts, Ts)> = (graph.dag().device_tasks(device).iter())
+        .filter(|&&t| graph.task(t).kind == TaskKind::LlmTpComm)
         .map(|&t| {
             let s = result.span(t);
             (s.start.0 as Ts, s.end.0 as Ts)

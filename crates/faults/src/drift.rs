@@ -8,7 +8,7 @@
 //! busy-time drift isolates sustained degradation (stragglers, sick links).
 
 use optimus_cluster::DurNs;
-use optimus_sim::{ExecDag, SimResult, Stream, TaskGraph};
+use optimus_sim::{SimResult, Stream, TaskGraph};
 
 /// Busy-time drift of one `(device, stream)` resource.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,18 +94,11 @@ pub fn measure_drift(
     expected: &SimResult,
     observed: &SimResult,
 ) -> DriftSummary {
-    let dag = ExecDag::new(graph);
-    let busy = |r: &SimResult, device, stream| -> DurNs {
-        dag.stream_spans(r, device, stream)
-            .iter()
-            .map(|s| s.duration())
-            .sum()
-    };
     let mut resources = Vec::new();
     for device in 0..graph.num_devices() {
         for stream in Stream::ALL {
-            let e = busy(expected, device, stream);
-            let o = busy(observed, device, stream);
+            let e = expected.busy_time(graph, device, stream);
+            let o = observed.busy_time(graph, device, stream);
             if e.is_zero() && o.is_zero() {
                 continue;
             }

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use optimus_sim::{ExecDag, Stream, TaskGraph, TaskId};
+use optimus_sim::{Stream, TaskGraph, TaskId};
 
 use crate::diag::{DiagCode, Diagnostic, Witness};
 
@@ -91,18 +91,17 @@ impl CollectiveSpec {
     /// participate with an empty sequence — that is what catches a rank
     /// whose all-gather was dropped.
     pub fn from_graph(g: &TaskGraph) -> CollectiveSpec {
-        let mut dp: BTreeMap<u32, CommRank> = BTreeMap::new();
-        for t in g.tasks() {
-            dp.entry(t.device)
-                .or_insert_with(|| CommRank::new(format!("device {}", t.device), Vec::new()));
-        }
-        let dag = ExecDag::new(g);
-        for (&dev, rank) in &mut dp {
-            for &id in dag.queue(dev, Stream::DpComm) {
-                rank.push(g.task(id).label.to_string(), Some(id));
-            }
-        }
-        let ranks: Vec<CommRank> = dp.into_values().collect();
+        let dag = g.dag();
+        let ranks: Vec<CommRank> = (0..g.num_devices())
+            .filter(|&dev| !dag.device_tasks(dev).is_empty())
+            .map(|dev| {
+                let mut rank = CommRank::new(format!("device {dev}"), Vec::new());
+                for &id in dag.queue(dev, Stream::DpComm) {
+                    rank.push(g.task(id).label.to_string(), Some(id));
+                }
+                rank
+            })
+            .collect();
         if ranks.len() < 2 {
             return CollectiveSpec::default();
         }
@@ -121,7 +120,7 @@ impl CollectiveSpec {
     /// A transfer with no cross-device producer is a receive with no
     /// matching send — it forms its own group that always diverges.
     pub fn enc_p2p_from_graph(g: &TaskGraph) -> CollectiveSpec {
-        let dag = ExecDag::new(g);
+        let dag = g.dag();
         let mut groups = Vec::new();
         for dst in 0..g.num_devices() {
             // Per-channel events in receive order.

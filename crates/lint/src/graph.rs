@@ -8,8 +8,8 @@
 //! model adds between queue neighbours: a cycle that only closes through
 //! FIFO edges is exactly the situation where `optimus_sim::simulate` would
 //! report a deadlock — queue order contradicts dependency order. Both stuck
-//! sets are residues of `optimus_sim::ExecDag`'s Kahn pass, the one the
-//! engine runs. Witnesses are minimal: the shortest cycle through any stuck
+//! sets are residues of the graph's own `optimus_sim::ExecDag` Kahn pass,
+//! the one the engine runs. Witnesses are minimal: the shortest cycle through any stuck
 //! node, found by BFS.
 
 use optimus_sim::{ExecDag, TaskGraph, TaskId};
@@ -35,7 +35,7 @@ enum EdgeKind {
 /// Out-edges of `u`: dependency successors, then (when `fifo`) the FIFO
 /// successor.
 fn out_edges<'a>(
-    dag: &'a ExecDag<'_>,
+    dag: &'a ExecDag,
     u: TaskId,
     fifo: bool,
 ) -> impl Iterator<Item = (TaskId, EdgeKind)> + 'a {
@@ -46,9 +46,9 @@ fn out_edges<'a>(
 /// Shortest cycle through any of (a bounded sample of) the stuck nodes:
 /// BFS from each seed until the seed is reached again. Returns the cycle as
 /// `(node, kind-of-edge-leaving-it)` pairs.
-fn minimal_cycle(dag: &ExecDag<'_>, fifo: bool, stuck: &[TaskId]) -> Vec<(TaskId, EdgeKind)> {
+fn minimal_cycle(g: &TaskGraph, fifo: bool, stuck: &[TaskId]) -> Vec<(TaskId, EdgeKind)> {
     const MAX_SEEDS: usize = 16;
-    let n = dag.graph().len();
+    let (dag, n) = (g.dag(), g.len());
     let mut best: Vec<(TaskId, EdgeKind)> = Vec::new();
     for &seed in stuck.iter().take(MAX_SEEDS) {
         let mut parent: Vec<Option<(TaskId, EdgeKind)>> = vec![None; n];
@@ -117,14 +117,14 @@ pub(crate) fn check_graph(g: &TaskGraph, name: &dyn Fn(TaskId) -> String) -> Vec
 
     // OPT001: dependency-only cycle. Only a graph that cannot run can have
     // one: the union residue is empty otherwise.
-    let dag = ExecDag::new(g);
+    let dag = g.dag();
     let dep_stuck = if dag.stuck().is_empty() {
         Vec::new()
     } else {
-        dag.dependency_stuck()
+        dag.dependency_stuck(g)
     };
     if !dep_stuck.is_empty() {
-        let cycle = minimal_cycle(&dag, false, &dep_stuck);
+        let cycle = minimal_cycle(g, false, &dep_stuck);
         out.push(Diagnostic::new(
             DiagCode::Cycle,
             format!(
@@ -142,7 +142,7 @@ pub(crate) fn check_graph(g: &TaskGraph, name: &dyn Fn(TaskId) -> String) -> Vec
     // OPT002: union (dependency + stream-FIFO) cycle.
     let stuck = dag.stuck();
     if !stuck.is_empty() {
-        let cycle = minimal_cycle(&dag, true, stuck);
+        let cycle = minimal_cycle(g, true, stuck);
         let fifo_edges = cycle.iter().filter(|(_, k)| *k == EdgeKind::Fifo).count();
         out.push(Diagnostic::new(
             DiagCode::StreamFifoInversion,

@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use optimus_json::Json;
 use optimus_modeling::Workload;
@@ -64,6 +64,8 @@ pub struct PlanCache {
     lru: VecDeque<String>,
     /// Every known entry id (including disk-only ones) and its key.
     index: BTreeMap<String, PlanKey>,
+    /// The plans handed out that a caller still holds, by entry id.
+    issued: BTreeMap<String, Weak<SavedSchedule>>,
     stats: CacheStats,
 }
 
@@ -76,6 +78,7 @@ impl PlanCache {
             entries: BTreeMap::new(),
             lru: VecDeque::new(),
             index: BTreeMap::new(),
+            issued: BTreeMap::new(),
             stats: CacheStats::default(),
         }
     }
@@ -138,18 +141,22 @@ impl PlanCache {
     }
 
     /// Stores a plan under `key`, stamping the key's fingerprints into the
-    /// document. Replaces any previous entry for the same key.
+    /// document. Replaces any previous entry for the same key. A plan equal to
+    /// one a caller still holds for `key` is returned as that allocation.
     pub fn insert(
         &mut self,
         key: PlanKey,
         saved: SavedSchedule,
     ) -> Result<Arc<SavedSchedule>, PlanSvcError> {
-        let saved = Arc::new(saved.with_fingerprints(
-            key.topo.to_hex(),
-            key.model.to_hex(),
-            key.trace.to_hex(),
-        ));
+        let saved =
+            saved.with_fingerprints(key.topo.to_hex(), key.model.to_hex(), key.trace.to_hex());
         let id = key.id();
+        self.issued.retain(|_, held| held.strong_count() > 0);
+        let saved = match self.issued.get(&id).and_then(Weak::upgrade) {
+            Some(held) if *held == saved => held,
+            _ => Arc::new(saved),
+        };
+        self.issued.insert(id.clone(), Arc::downgrade(&saved));
         if let Some(dir) = &self.dir {
             let mut buf = Vec::new();
             saved
@@ -173,8 +180,8 @@ impl PlanCache {
     }
 
     /// Looks up `key`, re-verifying any candidate entry against the
-    /// querying workload and LLM plan. Failed verification drops the entry
-    /// and reports a miss.
+    /// querying workload and LLM plan. An entry file that fails to decode
+    /// or a failed verification drops the entry and reports a miss.
     pub fn lookup(
         &mut self,
         key: &PlanKey,
@@ -183,21 +190,21 @@ impl PlanCache {
     ) -> Option<Arc<SavedSchedule>> {
         let id = key.id();
         let (cached, from_disk) = match self.entries.get(&id) {
-            Some(c) => (c.clone(), false),
-            None => match self.load_from_disk(&id) {
-                Some(c) => (c, true),
-                None => {
-                    self.stats.misses += 1;
-                    return None;
-                }
-            },
+            Some(c) => (Some(c.clone()), false),
+            None if self.dir.is_some() && self.index.contains_key(&id) => {
+                (self.load_from_disk(&id), true)
+            }
+            None => {
+                self.stats.misses += 1;
+                return None;
+            }
         };
-        if !Self::verify(&cached, key, w, llm_plan) {
+        let Some(cached) = cached.filter(|c| Self::verify(c, key, w, llm_plan)) else {
             self.remove(&id);
             self.stats.rejected += 1;
             self.stats.misses += 1;
             return None;
-        }
+        };
         if from_disk {
             self.stats.disk_promotions += 1;
         }
@@ -220,7 +227,7 @@ impl PlanCache {
             && cached.saved.validate_for(w, llm_plan).is_ok()
     }
 
-    fn load_from_disk(&mut self, id: &str) -> Option<CachedPlan> {
+    fn load_from_disk(&self, id: &str) -> Option<CachedPlan> {
         let dir = self.dir.as_ref()?;
         let key = *self.index.get(id)?;
         let file = std::fs::File::open(dir.join(format!("{id}.json"))).ok()?;

@@ -7,72 +7,45 @@
 
 use optimus_cluster::{DurNs, TimeNs};
 
-use crate::dag::ExecDag;
 use crate::engine::SimResult;
 use crate::task::{Stream, TaskGraph, TaskId};
 
-/// Fraction of the makespan each device's compute stream is busy.
-pub fn compute_utilization(graph: &TaskGraph, result: &SimResult, device: u32) -> f64 {
-    utilization(&ExecDag::new(graph), result, device)
-}
-
-fn utilization(dag: &ExecDag<'_>, result: &SimResult, device: u32) -> f64 {
-    let total = result.makespan().as_secs_f64();
-    if total == 0.0 {
-        return 0.0;
-    }
-    let busy: DurNs = (dag.stream_spans(result, device, Stream::Compute).iter())
-        .map(|s| s.duration())
-        .sum();
-    busy.as_secs_f64() / total
-}
-
-/// Mean compute utilization over all devices.
+/// Mean, over all devices, of the fraction of the makespan each device's
+/// compute stream is busy.
 pub fn mean_compute_utilization(graph: &TaskGraph, result: &SimResult) -> f64 {
-    let n = graph.num_devices();
-    if n == 0 {
+    let (n, total) = (graph.num_devices(), result.makespan().as_secs_f64());
+    if n == 0 || total == 0.0 {
         return 0.0;
     }
-    let dag = ExecDag::new(graph);
-    (0..n).map(|d| utilization(&dag, result, d)).sum::<f64>() / n as f64
+    (0..n)
+        .map(|d| result.busy_time(graph, d, Stream::Compute).as_secs_f64() / total)
+        .sum::<f64>()
+        / n as f64
 }
 
 /// Latest start time of every task such that the makespan is unchanged.
 ///
 /// Successor edges are (a) explicit dependencies and (b) FIFO order on each
 /// `(device, stream)` resource; tasks are visited in reverse topological
-/// order of the [`ExecDag`].
+/// order of the graph's [`ExecDag`](crate::ExecDag): a task's latest finish
+/// is the earliest latest start among its successors, or the makespan.
 pub fn latest_start_times(graph: &TaskGraph, result: &SimResult) -> Vec<TimeNs> {
-    latest_starts(&ExecDag::new(graph), result)
-}
-
-/// The backward pass: a task's latest finish is the earliest latest start
-/// among its successors, or the makespan.
-fn latest_starts(dag: &ExecDag<'_>, result: &SimResult) -> Vec<TimeNs> {
-    let makespan = result.makespan();
-    let mut latest_start = vec![makespan; dag.graph().len()];
+    let (dag, makespan) = (graph.dag(), result.makespan());
+    let mut latest_start = vec![makespan; graph.len()];
     for &id in dag.topo_order().iter().rev() {
         let next = dag.fifo_next(id);
         let finish = (dag.successors(id).iter().chain(next.as_ref()))
             .fold(makespan, |f, s| f.min(latest_start[s.index()]));
-        latest_start[id.index()] = finish - dag.graph().task(id).duration;
+        latest_start[id.index()] = finish - graph.task(id).duration;
     }
     latest_start
-}
-
-fn slack_of(dag: &ExecDag<'_>, result: &SimResult) -> Vec<DurNs> {
-    let ls = latest_starts(dag, result);
-    (dag.graph().tasks().iter())
-        .map(|t| ls[t.id.index()].since(result.span(t.id).start))
-        .collect()
 }
 
 /// Extracts one critical path: a chain of zero-slack tasks from a step-start
 /// task to a step-end task, following dependency and FIFO edges. Useful for
 /// diagnosing what bounds a training step.
 pub fn critical_path(graph: &TaskGraph, result: &SimResult) -> Vec<TaskId> {
-    let dag = ExecDag::new(graph);
-    let sl = slack_of(&dag, result);
+    let sl = slack(graph, result);
     // Start from the zero-slack task that finishes last (ties: smallest id),
     // then walk backwards through zero-slack predecessors that abut in time:
     // explicit deps first, then the FIFO predecessor.
@@ -87,16 +60,19 @@ pub fn critical_path(graph: &TaskGraph, result: &SimResult) -> Vec<TaskId> {
         path.push(id);
         let start = result.span(id).start;
         current = (graph.task(id).deps.iter().copied())
-            .chain(dag.fifo_pred(id))
+            .chain(graph.dag().fifo_pred(id))
             .find(|&c| sl[c.index()].is_zero() && result.span(c).end == start);
     }
     path.reverse();
     path
 }
 
-/// Slack of one task: latest start minus actual start.
+/// Slack of every task: latest start minus actual start.
 pub fn slack(graph: &TaskGraph, result: &SimResult) -> Vec<DurNs> {
-    slack_of(&ExecDag::new(graph), result)
+    let ls = latest_start_times(graph, result);
+    (graph.tasks().iter())
+        .map(|t| ls[t.id.index()].since(result.span(t.id).start))
+        .collect()
 }
 
 #[cfg(test)]
@@ -125,7 +101,7 @@ mod tests {
             vec![],
         );
         let r = simulate(&g).unwrap();
-        assert!((compute_utilization(&g, &r, 0) - 1.0).abs() < 1e-12);
+        assert!((mean_compute_utilization(&g, &r) - 1.0).abs() < 1e-12);
     }
 
     #[test]

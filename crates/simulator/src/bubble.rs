@@ -13,7 +13,6 @@
 
 use optimus_cluster::{DurNs, TimeNs};
 
-use crate::dag::ExecDag;
 use crate::engine::{SimResult, TaskSpan};
 use crate::task::{Stream, TaskGraph, TaskKind};
 
@@ -78,130 +77,122 @@ impl Bubble {
     }
 }
 
-/// Extracts and classifies all bubbles of one device.
+/// Extracts and classifies all bubbles of one device, reading only that
+/// device's queues.
 pub fn device_bubbles(graph: &TaskGraph, result: &SimResult, device: u32) -> Vec<Bubble> {
-    ExecDag::new(graph).device_bubbles(result, device)
-}
+    let compute = result.stream_spans(graph, device, Stream::Compute);
+    let makespan = result.makespan();
+    let mut bubbles = Vec::new();
+    let at = |start, end, kind| Bubble {
+        device,
+        start,
+        end,
+        kind,
+    };
 
-impl ExecDag<'_> {
-    /// Extracts and classifies all bubbles of one device, reading only that
-    /// device's queues.
-    pub fn device_bubbles(&self, result: &SimResult, device: u32) -> Vec<Bubble> {
-        let compute = self.stream_spans(result, device, Stream::Compute);
-        let makespan = result.makespan();
-        let mut bubbles = Vec::new();
-        let at = |start, end, kind| Bubble {
-            device,
-            start,
-            end,
-            kind,
-        };
-
-        // The device's DP collectives, if present (the reduce-scatter ending
-        // last, latest task on ties), and its TP-collective spans.
-        let mut dp_ag_end = None;
-        let mut dp_rs: Option<TaskSpan> = None;
-        let mut tp_spans: Vec<(TimeNs, TimeNs)> = Vec::new();
-        for &id in self.device_tasks(device) {
-            let s = result.span(id);
-            match self.graph().task(id).kind {
-                TaskKind::DpAllGather => dp_ag_end = dp_ag_end.max(Some(s.end)),
-                TaskKind::DpReduceScatter => {
-                    dp_rs = dp_rs.into_iter().chain([s]).max_by_key(|r| (r.end, r.task));
-                }
-                TaskKind::LlmTpComm | TaskKind::EncTpComm => tp_spans.push((s.start, s.end)),
-                _ => {}
+    // The device's DP collectives, if present (the reduce-scatter ending
+    // last, latest task on ties), and its TP-collective spans.
+    let mut dp_ag_end = None;
+    let mut dp_rs: Option<TaskSpan> = None;
+    let mut tp_spans: Vec<(TimeNs, TimeNs)> = Vec::new();
+    for &id in graph.dag().device_tasks(device) {
+        let s = result.span(id);
+        match graph.task(id).kind {
+            TaskKind::DpAllGather => dp_ag_end = dp_ag_end.max(Some(s.end)),
+            TaskKind::DpReduceScatter => {
+                dp_rs = dp_rs.into_iter().chain([s]).max_by_key(|r| (r.end, r.task));
             }
+            TaskKind::LlmTpComm | TaskKind::EncTpComm => tp_spans.push((s.start, s.end)),
+            _ => {}
         }
+    }
 
-        if compute.is_empty() {
-            if makespan > TimeNs::ZERO {
-                bubbles.push(at(TimeNs::ZERO, makespan, BubbleKind::PpWarmup));
-            }
-            return bubbles;
+    if compute.is_empty() {
+        if makespan > TimeNs::ZERO {
+            bubbles.push(at(TimeNs::ZERO, makespan, BubbleKind::PpWarmup));
         }
+        return bubbles;
+    }
 
-        // Leading gap: DP all-gather portion, then PP warmup.
-        let first_start = compute[0].start;
-        if first_start > TimeNs::ZERO {
-            let split = dp_ag_end.unwrap_or(TimeNs::ZERO).min(first_start);
-            if split > TimeNs::ZERO {
-                bubbles.push(at(TimeNs::ZERO, split, BubbleKind::DpAllGather));
-            }
-            if first_start > split {
-                bubbles.push(at(split, first_start, BubbleKind::PpWarmup));
-            }
+    // Leading gap: DP all-gather portion, then PP warmup.
+    let first_start = compute[0].start;
+    if first_start > TimeNs::ZERO {
+        let split = dp_ag_end.unwrap_or(TimeNs::ZERO).min(first_start);
+        if split > TimeNs::ZERO {
+            bubbles.push(at(TimeNs::ZERO, split, BubbleKind::DpAllGather));
         }
+        if first_start > split {
+            bubbles.push(at(split, first_start, BubbleKind::PpWarmup));
+        }
+    }
 
-        // Interior gaps: the portion of a gap that coincides with a TP
-        // collective is a TP bubble; the remainder (waiting on pipeline
-        // send/receive) is a PP bubble. A single gap often contains both — the
-        // layer's trailing reduce-scatter runs first, then the rank starves.
-        // Gaps come in time order, so TP spans ending at or before one gap's
-        // start are skipped for good; the scan stops at the first span starting
-        // at or after the gap's end.
-        tp_spans.sort_unstable();
-        let mut first = 0;
-        for w in compute.windows(2) {
-            let (gap_start, gap_end) = (w[0].end, w[1].start);
-            if gap_end <= gap_start {
+    // Interior gaps: the portion of a gap that coincides with a TP
+    // collective is a TP bubble; the remainder (waiting on pipeline
+    // send/receive) is a PP bubble. A single gap often contains both — the
+    // layer's trailing reduce-scatter runs first, then the rank starves.
+    // Gaps come in time order, so TP spans ending at or before one gap's
+    // start are skipped for good; the scan stops at the first span starting
+    // at or after the gap's end.
+    tp_spans.sort_unstable();
+    let mut first = 0;
+    for w in compute.windows(2) {
+        let (gap_start, gap_end) = (w[0].end, w[1].start);
+        if gap_end <= gap_start {
+            continue;
+        }
+        while tp_spans.get(first).is_some_and(|&(_, te)| te <= gap_start) {
+            first += 1;
+        }
+        let mut cursor = gap_start;
+        for &(ts, te) in &tp_spans[first..] {
+            if ts >= gap_end {
+                break;
+            }
+            let (os, oe) = (ts.max(cursor), te.min(gap_end));
+            if oe <= os {
                 continue;
             }
-            while tp_spans.get(first).is_some_and(|&(_, te)| te <= gap_start) {
-                first += 1;
+            if os > cursor {
+                bubbles.push(at(cursor, os, BubbleKind::PpOther));
             }
-            let mut cursor = gap_start;
-            for &(ts, te) in &tp_spans[first..] {
-                if ts >= gap_end {
-                    break;
-                }
-                let (os, oe) = (ts.max(cursor), te.min(gap_end));
-                if oe <= os {
-                    continue;
-                }
-                if os > cursor {
-                    bubbles.push(at(cursor, os, BubbleKind::PpOther));
-                }
-                bubbles.push(at(os, oe, BubbleKind::Tp));
-                cursor = oe;
-                if cursor >= gap_end {
-                    break;
-                }
-            }
-            if cursor < gap_end {
-                bubbles.push(at(cursor, gap_end, BubbleKind::PpOther));
+            bubbles.push(at(os, oe, BubbleKind::Tp));
+            cursor = oe;
+            if cursor >= gap_end {
+                break;
             }
         }
-
-        // Trailing gap: PP cooldown until the reduce-scatter begins, the
-        // reduce-scatter itself, then (on ranks that finish early) more cooldown
-        // while the slowest stage completes the step.
-        let last_end = compute.last().map(|s| s.end).unwrap_or(TimeNs::ZERO);
-        if makespan > last_end {
-            match dp_rs {
-                Some(rs) if rs.start >= last_end => {
-                    if rs.start > last_end {
-                        bubbles.push(at(last_end, rs.start, BubbleKind::PpCooldown));
-                    }
-                    let rs_end = rs.end.min(makespan);
-                    bubbles.push(at(rs.start, rs_end, BubbleKind::DpReduceScatter));
-                    if makespan > rs_end {
-                        bubbles.push(at(rs_end, makespan, BubbleKind::PpCooldown));
-                    }
-                }
-                _ => bubbles.push(at(last_end, makespan, BubbleKind::PpCooldown)),
-            }
+        if cursor < gap_end {
+            bubbles.push(at(cursor, gap_end, BubbleKind::PpOther));
         }
-
-        bubbles
     }
+
+    // Trailing gap: PP cooldown until the reduce-scatter begins, the
+    // reduce-scatter itself, then (on ranks that finish early) more cooldown
+    // while the slowest stage completes the step.
+    let last_end = compute.last().map(|s| s.end).unwrap_or(TimeNs::ZERO);
+    if makespan > last_end {
+        match dp_rs {
+            Some(rs) if rs.start >= last_end => {
+                if rs.start > last_end {
+                    bubbles.push(at(last_end, rs.start, BubbleKind::PpCooldown));
+                }
+                let rs_end = rs.end.min(makespan);
+                bubbles.push(at(rs.start, rs_end, BubbleKind::DpReduceScatter));
+                if makespan > rs_end {
+                    bubbles.push(at(rs_end, makespan, BubbleKind::PpCooldown));
+                }
+            }
+            _ => bubbles.push(at(last_end, makespan, BubbleKind::PpCooldown)),
+        }
+    }
+
+    bubbles
 }
 
 /// Extracts bubbles for every device.
 pub fn all_bubbles(graph: &TaskGraph, result: &SimResult) -> Vec<Bubble> {
-    let dag = ExecDag::new(graph);
     (0..graph.num_devices())
-        .flat_map(|d| dag.device_bubbles(result, d))
+        .flat_map(|d| device_bubbles(graph, result, d))
         .collect()
 }
 

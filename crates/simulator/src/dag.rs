@@ -7,14 +7,18 @@
 //! successors, and one Kahn topological order over both edge sets — and
 //! every consumer reads it: the engine's forward pass, the slack analysis's
 //! backward pass, bubble extraction, and the static lints.
+//!
+//! The index reads only structure (devices, streams, queue order,
+//! dependencies), never durations, so a graph caches its own
+//! ([`TaskGraph::dag`]) and every duration-only rewrite of it shares that
+//! index.
 
-use crate::engine::{SimResult, TaskSpan};
 use crate::task::{Stream, TaskGraph, TaskId};
 
-/// Queue-and-edge index of one [`TaskGraph`].
+/// Queue-and-edge index of one [`TaskGraph`], read through
+/// [`TaskGraph::dag`].
 #[derive(Debug, Clone)]
-pub struct ExecDag<'g> {
-    graph: &'g TaskGraph,
+pub struct ExecDag {
     /// Resource `r = device × Stream::COUNT + stream` queues the tasks
     /// `queue_tasks[queue_start[r]..queue_start[r + 1]]`, in insertion order.
     queue_start: Vec<u32>,
@@ -53,9 +57,9 @@ fn csr<I: Iterator<Item = (usize, TaskId)>>(
     (start, items)
 }
 
-impl<'g> ExecDag<'g> {
+impl ExecDag {
     /// Indexes `graph`: queues, successors, and the topological order.
-    pub fn new(graph: &'g TaskGraph) -> ExecDag<'g> {
+    pub(crate) fn new(graph: &TaskGraph) -> ExecDag {
         let (n, tasks) = (graph.len(), graph.tasks());
         let n_res = graph.num_devices() as usize * Stream::COUNT;
         let (queue_start, queue_tasks) = csr(n_res, || {
@@ -72,7 +76,6 @@ impl<'g> ExecDag<'g> {
             }
         }
         let mut dag = ExecDag {
-            graph,
             queue_start,
             queue_tasks,
             slot,
@@ -82,18 +85,19 @@ impl<'g> ExecDag<'g> {
             order: Vec::new(),
             stuck: Vec::new(),
         };
-        (dag.order, dag.stuck) = dag.kahn(true);
+        (dag.order, dag.stuck) = dag.kahn(graph, true);
         dag
     }
 
-    /// Kahn's algorithm over the dependency edges, plus the FIFO edges when
-    /// `fifo` is set: a topological order of the tasks that can run, then
-    /// the residue — every task on or behind a cycle — in ascending order.
-    fn kahn(&self, fifo: bool) -> (Vec<TaskId>, Vec<TaskId>) {
-        let mut indeg: Vec<u32> = (self.graph.tasks().iter())
+    /// Kahn's algorithm over `graph`'s dependency edges, plus the FIFO edges
+    /// when `fifo` is set: a topological order of the tasks that can run,
+    /// then the residue — every task on or behind a cycle — in ascending
+    /// order.
+    fn kahn(&self, graph: &TaskGraph, fifo: bool) -> (Vec<TaskId>, Vec<TaskId>) {
+        let mut indeg: Vec<u32> = (graph.tasks().iter())
             .map(|t| t.deps.len() as u32 + u32::from(fifo && self.pos[t.id.index()] > 0))
             .collect();
-        let mut order: Vec<TaskId> = (self.graph.tasks().iter())
+        let mut order: Vec<TaskId> = (graph.tasks().iter())
             .filter(|t| indeg[t.id.index()] == 0)
             .map(|t| t.id)
             .collect();
@@ -108,16 +112,11 @@ impl<'g> ExecDag<'g> {
                 }
             }
         }
-        let stuck = (self.graph.tasks().iter())
+        let stuck = (graph.tasks().iter())
             .filter(|t| indeg[t.id.index()] > 0)
             .map(|t| t.id)
             .collect();
         (order, stuck)
-    }
-
-    /// The indexed graph.
-    pub fn graph(&self) -> &'g TaskGraph {
-        self.graph
     }
 
     /// Tasks of one `(device, stream)` queue, in execution (= insertion)
@@ -139,14 +138,6 @@ impl<'g> ExecDag<'g> {
             (Some(&a), Some(&b)) => &self.queue_tasks[a as usize..b as usize],
             _ => &[],
         }
-    }
-
-    /// The non-empty queues, ordered by device then stream index.
-    pub(crate) fn queues(&self) -> impl Iterator<Item = ((u32, Stream), &[TaskId])> + '_ {
-        (0..self.graph.num_devices())
-            .flat_map(|d| Stream::ALL.into_iter().map(move |s| (d, s)))
-            .map(|(d, s)| ((d, s), self.queue(d, s)))
-            .filter(|(_, q)| !q.is_empty())
     }
 
     /// Position of a task within its queue.
@@ -185,18 +176,10 @@ impl<'g> ExecDag<'g> {
     }
 
     /// Like [`stuck`](Self::stuck), over dependency edges alone: non-empty
-    /// exactly when the dependencies themselves contain a cycle.
-    pub fn dependency_stuck(&self) -> Vec<TaskId> {
-        self.kahn(false).1
-    }
-
-    /// Spans of one `(device, stream)` queue, in queue order — which is
-    /// start order, because each queue is FIFO.
-    pub fn stream_spans(&self, result: &SimResult, device: u32, stream: Stream) -> Vec<TaskSpan> {
-        self.queue(device, stream)
-            .iter()
-            .map(|&t| result.span(t))
-            .collect()
+    /// exactly when the dependencies themselves contain a cycle. `graph` is
+    /// the indexed graph.
+    pub fn dependency_stuck(&self, graph: &TaskGraph) -> Vec<TaskId> {
+        self.kahn(graph, false).1
     }
 }
 
@@ -217,13 +200,12 @@ mod tests {
         let b = push(&mut g, 1, Stream::TpComm, vec![a]);
         let c = push(&mut g, 0, Stream::Compute, vec![a, b]);
         let d = push(&mut g, 1, Stream::TpComm, vec![]);
-        let dag = ExecDag::new(&g);
+        let dag = g.dag();
         assert_eq!(dag.queue(0, Stream::Compute), &[a, c]);
         assert_eq!(dag.queue(1, Stream::TpComm), &[b, d]);
         assert!(dag.queue(0, Stream::P2p).is_empty());
         assert!(dag.queue(7, Stream::P2p).is_empty());
         assert_eq!(dag.device_tasks(1), &[b, d]);
-        assert_eq!(dag.queues().count(), 2);
         assert_eq!((dag.position(c), dag.position(d)), (1, 1));
         assert_eq!((dag.fifo_pred(a), dag.fifo_pred(c)), (None, Some(a)));
         assert_eq!((dag.fifo_next(a), dag.fifo_next(c)), (Some(c), None));
@@ -241,10 +223,9 @@ mod tests {
         let b = push(&mut g, 0, Stream::Compute, vec![]);
         let c = push(&mut g, 0, Stream::TpComm, vec![b]);
         g.add_dep(a, b);
-        let dag = ExecDag::new(&g);
-        assert_eq!(dag.stuck(), &[a, b, c]);
-        assert!(dag.dependency_stuck().is_empty());
+        assert_eq!(g.dag().stuck(), &[a, b, c]);
+        assert!(g.dag().dependency_stuck(&g).is_empty());
         g.add_dep(b, a);
-        assert_eq!(ExecDag::new(&g).dependency_stuck(), vec![a, b, c]);
+        assert_eq!(g.dag().dependency_stuck(&g), vec![a, b, c]);
     }
 }

@@ -1,4 +1,5 @@
-//! The execution engine: one longest-path pass over the [`ExecDag`].
+//! The execution engine: one longest-path pass over the graph's
+//! [`ExecDag`](crate::ExecDag).
 //!
 //! Executes a [`TaskGraph`] under CUDA-stream semantics: each
 //! `(device, stream)` pair is a non-preemptive FIFO, so a task starts at
@@ -8,7 +9,6 @@
 
 use optimus_cluster::{DurNs, TimeNs};
 
-use crate::dag::ExecDag;
 use crate::error::SimError;
 use crate::task::{Stream, TaskGraph, TaskId};
 
@@ -63,20 +63,21 @@ impl SimResult {
     /// Spans of all tasks on one `(device, stream)` resource, sorted by
     /// start time (queue order: each queue is FIFO).
     pub fn stream_spans(&self, graph: &TaskGraph, device: u32, stream: Stream) -> Vec<TaskSpan> {
-        ExecDag::new(graph).stream_spans(self, device, stream)
+        (graph.dag().queue(device, stream).iter())
+            .map(|&t| self.span(t))
+            .collect()
     }
 
     /// Total busy time of one resource.
     pub fn busy_time(&self, graph: &TaskGraph, device: u32, stream: Stream) -> DurNs {
-        self.stream_spans(graph, device, stream)
-            .iter()
-            .map(|s| s.duration())
+        (graph.dag().queue(device, stream).iter())
+            .map(|&t| self.span(t).duration())
             .sum()
     }
 }
 
 /// Executes the graph; returns per-task spans and the makespan. This is
-/// the [`ExecDag`]'s forward pass: every task, in topological order, starts
+/// the [`ExecDag`](crate::ExecDag)'s forward pass: every task, in topological order, starts
 /// at the later of its queue predecessor's end and its dependencies' ends.
 ///
 /// # Errors
@@ -85,7 +86,7 @@ impl SimResult {
 /// inconsistent with the dependency structure — the schedule being lowered
 /// would hang on real hardware too.
 pub fn simulate(graph: &TaskGraph) -> Result<SimResult, SimError> {
-    let dag = ExecDag::new(graph);
+    let dag = graph.dag();
     if let Some(&first) = dag.stuck().first() {
         return Err(SimError::Deadlock {
             stuck: dag.stuck().to_vec(),

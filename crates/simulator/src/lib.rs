@@ -3,7 +3,8 @@
 //! This crate is the stand-in for the paper's production cluster + CUDA
 //! profiler: pipeline schedules are lowered to [`TaskGraph`]s whose tasks
 //! occupy per-device streams (compute, TP collectives, P2P, DP collectives)
-//! under FIFO semantics; [`ExecDag`] indexes their queues and edges once,
+//! under FIFO semantics; each graph's [`ExecDag`] indexes its queues and
+//! edges once (shared by every duration-only rewrite of the graph),
 //! [`simulate`] executes them in one longest-path pass, and the [`bubble`]
 //! module extracts and classifies the idle gaps exactly as the paper's
 //! Table 1 does from profiled timelines.
@@ -32,9 +33,7 @@ pub mod engine;
 pub mod error;
 pub mod task;
 
-pub use analysis::{
-    compute_utilization, critical_path, latest_start_times, mean_compute_utilization, slack,
-};
+pub use analysis::{critical_path, latest_start_times, mean_compute_utilization, slack};
 pub use bubble::{all_bubbles, device_bubbles, Bubble, BubbleBreakdown, BubbleKind};
 pub use dag::ExecDag;
 pub use engine::{simulate, SimResult, TaskSpan};

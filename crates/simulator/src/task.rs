@@ -6,7 +6,11 @@
 //! semantics). Pipeline schedules are lowered to per-stream queues whose
 //! order encodes the schedule; bubbles are the idle gaps that result.
 
+use std::sync::{Arc, OnceLock};
+
 use optimus_cluster::DurNs;
+
+use crate::dag::ExecDag;
 
 /// Index of a task within its [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -155,19 +159,27 @@ pub struct Task {
 ///
 /// Queue order is *insertion order*: tasks added to the same
 /// `(device, stream)` pair execute in the order they were pushed.
+/// Its [`dag`](Self::dag) index is shared by clones and duration rewrites
+/// and dropped by structural edits.
 #[derive(Debug, Clone, Default)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
     num_devices: u32,
+    dag: OnceLock<Arc<ExecDag>>,
 }
 
 impl TaskGraph {
     /// Creates an empty graph over `num_devices` simulated devices.
     pub fn new(num_devices: u32) -> TaskGraph {
         TaskGraph {
-            tasks: Vec::new(),
             num_devices,
+            ..TaskGraph::default()
         }
+    }
+
+    /// The graph's execution index, built on first use.
+    pub fn dag(&self) -> &ExecDag {
+        self.dag.get_or_init(|| Arc::new(ExecDag::new(self)))
     }
 
     /// Number of simulated devices.
@@ -200,6 +212,7 @@ impl TaskGraph {
         for d in &deps {
             assert!(d.0 < id.0, "dependency {:?} must precede task {:?}", d, id);
         }
+        self.dag.take();
         self.tasks.push(Task {
             id,
             label,
@@ -224,6 +237,7 @@ impl TaskGraph {
         let deps = &mut self.tasks[task.index()].deps;
         if !deps.contains(&dep) {
             deps.push(dep);
+            self.dag.take();
         }
     }
 
@@ -259,8 +273,11 @@ impl TaskGraph {
     /// Only non-empty queues are returned; pairs are sorted by device then
     /// stream index so iteration order is deterministic.
     pub fn stream_queues(&self) -> Vec<((u32, Stream), Vec<TaskId>)> {
-        let dag = crate::dag::ExecDag::new(self);
-        dag.queues().map(|(key, q)| (key, q.to_vec())).collect()
+        let dag = self.dag();
+        (0..self.num_devices)
+            .flat_map(|d| Stream::ALL.map(|s| ((d, s), dag.queue(d, s).to_vec())))
+            .filter(|(_, q)| !q.is_empty())
+            .collect()
     }
 
     /// Removes a dependency edge, returning whether it was present. Exists
@@ -271,6 +288,7 @@ impl TaskGraph {
         match deps.iter().position(|&d| d == dep) {
             Some(i) => {
                 deps.remove(i);
+                self.dag.take();
                 true
             }
             None => false,
@@ -410,5 +428,36 @@ mod tests {
         );
         assert_eq!(g.total_work(|t| t.stream == Stream::Compute), DurNs(5));
         assert_eq!(g.total_work(|_| true), DurNs(12));
+    }
+
+    fn push(g: &mut TaskGraph, dev: u32, deps: Vec<TaskId>) -> TaskId {
+        g.push("t", dev, Stream::Compute, DurNs(1), TaskKind::Generic, deps)
+    }
+
+    #[test]
+    fn duration_rewrites_share_the_index_and_edits_reset_it() {
+        let mut g = TaskGraph::new(2);
+        let (a, b) = (push(&mut g, 0, vec![]), push(&mut g, 1, vec![]));
+        let c = push(&mut g, 0, vec![a]);
+        let index = g.dag();
+        let scaled = g.with_scaled_durations(|_| 2.0);
+        for copy in [g.with_durations(|t| t.duration * 3), scaled, g.clone()] {
+            assert!(std::ptr::eq(index, copy.dag()));
+        }
+        // Each edit of a clone indexes it afresh; the original keeps its own.
+        let mut removed = g.clone();
+        assert!(removed.remove_dep(c, a));
+        assert!(removed.dag().successors(a).is_empty());
+        let mut added = g.clone();
+        added.add_dep(c, b);
+        assert_eq!(added.dag().successors(b), &[c]);
+        let mut pushed = g.clone();
+        let d = push(&mut pushed, 1, vec![c]);
+        assert_eq!(pushed.dag().queue(1, Stream::Compute), &[b, d]);
+        assert_eq!(pushed.dag().successors(c), &[d]);
+        assert!(std::ptr::eq(index, g.dag()));
+        assert_eq!(g.dag().successors(a), &[c]);
+        assert!(g.dag().successors(b).is_empty());
+        assert_eq!(g.dag().queue(1, Stream::Compute), &[b]);
     }
 }

@@ -1,7 +1,7 @@
 //! Terminal timeline rendering: one bar per device compute stream, with
 //! busy/bubble segments — a quick textual version of the paper's Fig. 2.
 
-use optimus_sim::{BubbleKind, ExecDag, SimResult, Stream, TaskGraph};
+use optimus_sim::{device_bubbles, BubbleKind, SimResult, Stream, TaskGraph};
 
 fn glyph(kind: BubbleKind) -> char {
     match kind {
@@ -21,10 +21,9 @@ pub fn render_timeline(graph: &TaskGraph, result: &SimResult, width: usize) -> S
     let makespan = result.makespan().as_secs_f64().max(1e-12);
     let mut out = String::new();
     out.push_str("legend: #=compute a=dp-allgather r=dp-reducescatter w=pp-warmup c=pp-cooldown p=pp-other t=tp\n");
-    let dag = ExecDag::new(graph);
     for d in 0..graph.num_devices() {
         let mut row = vec!['#'; width];
-        for b in dag.device_bubbles(result, d) {
+        for b in device_bubbles(graph, result, d) {
             let s = (b.start.as_secs_f64() / makespan * width as f64) as usize;
             let e = ((b.end.as_secs_f64() / makespan * width as f64).ceil() as usize).min(width);
             for cell in row.iter_mut().take(e).skip(s.min(width)) {
@@ -33,8 +32,7 @@ pub fn render_timeline(graph: &TaskGraph, result: &SimResult, width: usize) -> S
         }
         // Blank out regions with no compute at all beyond bubbles (idle
         // devices are fully covered by bubbles already).
-        let compute = dag.stream_spans(result, d, Stream::Compute);
-        if compute.iter().all(|s| s.duration().is_zero()) {
+        if result.busy_time(graph, d, Stream::Compute).is_zero() {
             for c in &mut row {
                 if *c == '#' {
                     *c = '.';

@@ -418,6 +418,25 @@ fn golden_layouts_match_oracle() {
 }
 
 #[test]
+fn edited_golden_layouts_match_oracle() {
+    // `check` indexes each graph; every structural edit must drop that
+    // index, because the oracles read only the tasks.
+    let (layouts, _) = golden_layouts();
+    for (name, mut g) in layouts {
+        assert_eq!(check(name, &g), Checked::Equal, "{name}");
+        let t = g.tasks().iter().rev().find(|t| !t.deps.is_empty()).unwrap();
+        let (task, dep) = (t.id, t.deps[0]);
+        assert!(g.remove_dep(task, dep));
+        assert_ne!(check(name, &g), Checked::Deadlock, "{name}: dep removed");
+        let tail = TaskId(g.len() as u32 - 1);
+        g.add_dep(tail, TaskId(0));
+        assert_ne!(check(name, &g), Checked::Deadlock, "{name}: dep added");
+        push(&mut g, 0, Stream::Compute, 1_000_000, vec![tail]);
+        assert_ne!(check(name, &g), Checked::Deadlock, "{name}: task pushed");
+    }
+}
+
+#[test]
 fn spliced_optimus_schedule_matches_oracle() {
     // The encoder-spliced schedule exercises every stream, EncP2p included.
     let w = Workload::new(MllmConfig::small(), 8, 16, 1);

@@ -7,6 +7,7 @@
 //! `OPTIMUS_REGEN_GOLDEN=1 cargo test --test plansvc`
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use optimus::baselines::common::SystemContext;
 use optimus::cluster::LinkClass;
@@ -160,6 +161,18 @@ fn batched_queries_are_deterministic_across_workers() {
 }
 
 #[test]
+fn replanned_address_shares_the_answer_a_caller_holds() {
+    let (w, cfg, ctx) = base();
+    let mut svc = PlanService::new(w, cfg, ctx, 1);
+    let first = svc.query(&PlanDelta::Baseline).unwrap();
+    svc.query(&PlanDelta::DpWidth { dp: 1 }).unwrap();
+    assert_eq!(svc.cache().stats().evicted, 1);
+    let again = svc.query(&PlanDelta::Baseline).unwrap();
+    assert_ne!(again.stats.kind, QueryKind::Hit);
+    assert!(Arc::ptr_eq(&first.saved, &again.saved));
+}
+
+#[test]
 fn disk_cache_survives_reopen_and_reverifies() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target")
@@ -184,6 +197,43 @@ fn disk_cache_survives_reopen_and_reverifies() {
     let other = Workload::new(MllmConfig::small(), 8, 32, 1);
     let other_key = PlanKey::for_query(&other, &cfg, &ctx);
     assert!(cache.lookup(&other_key, &other, &cfg.llm_plan).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn undecodable_disk_entry_is_dropped_and_replanned() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("target")
+        .join(format!("plansvc-corrupt-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (w, cfg, ctx) = base();
+    let key = {
+        let cache = PlanCache::open(&dir, 8).unwrap();
+        let mut svc = PlanService::with_cache(w.clone(), cfg.clone(), ctx.clone(), cache);
+        svc.query(&PlanDelta::Baseline).unwrap().key
+    };
+    let entry = dir.join(format!("{}.json", key.id()));
+    let text = std::fs::read(&entry).unwrap();
+    std::fs::write(&entry, &text[..text.len() / 2]).unwrap();
+
+    let mut cache = PlanCache::open(&dir, 8).unwrap();
+    assert_eq!(cache.len(), 1);
+    assert!(cache.lookup(&key, &w, &cfg.llm_plan).is_none());
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.rejected, stats.hits), (1, 1, 0));
+    assert_eq!(cache.len(), 0);
+    let index = std::fs::read_to_string(dir.join("index.json")).unwrap();
+    assert!(!index.contains(&key.id()), "{index}");
+
+    let mut svc = PlanService::with_cache(w, cfg, ctx, cache);
+    assert_eq!(
+        svc.query(&PlanDelta::Baseline).unwrap().stats.kind,
+        QueryKind::Miss
+    );
+    assert_eq!(
+        svc.query(&PlanDelta::Baseline).unwrap().stats.kind,
+        QueryKind::Hit
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

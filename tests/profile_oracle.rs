@@ -13,7 +13,7 @@ use optimus::calibrate::IngestedTrace;
 use optimus::core::{DeviceProfile, FreeInterval, LlmProfile, LlmScheduleKind, Ts};
 use optimus::modeling::{MllmConfig, Workload};
 use optimus::parallel::ParallelPlan;
-use optimus::sim::{ExecDag, Stream, TaskKind};
+use optimus::sim::{Stream, TaskKind};
 use optimus_detrand::rngs::StdRng;
 use optimus_detrand::{RngExt, SeedableRng};
 use optimus_json::Json;
@@ -213,12 +213,12 @@ type Spans = Vec<(Ts, Ts)>;
 /// The spans `core` extracts a device's profile from: compute in queue
 /// order, TP collectives sorted.
 fn device_spans(p: &LlmProfile, device: u32) -> (Spans, Spans) {
-    let dag = ExecDag::new(&p.lowered.graph);
-    let compute = (dag.stream_spans(&p.result, device, Stream::Compute).iter())
+    let g = &p.lowered.graph;
+    let compute = (p.result.stream_spans(g, device, Stream::Compute).iter())
         .map(|s| (s.start.0 as Ts, s.end.0 as Ts))
         .collect();
-    let mut tp: Spans = (dag.device_tasks(device).iter())
-        .filter(|&&t| dag.graph().task(t).kind == TaskKind::LlmTpComm)
+    let mut tp: Spans = (g.dag().device_tasks(device).iter())
+        .filter(|&&t| g.task(t).kind == TaskKind::LlmTpComm)
         .map(|&t| {
             let s = p.result.span(t);
             (s.start.0 as Ts, s.end.0 as Ts)
