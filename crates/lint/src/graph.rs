@@ -9,8 +9,8 @@
 //! FIFO edges is exactly the situation where `optimus_sim::simulate` would
 //! report a deadlock — queue order contradicts dependency order. Both stuck
 //! sets are residues of the graph's own `optimus_sim::ExecDag` Kahn pass,
-//! the one the engine runs. Witnesses are minimal: the shortest cycle through any stuck
-//! node, found by BFS.
+//! the one the engine runs. Witnesses are minimal: the shortest cycle
+//! through any stuck node, found by BFS.
 
 use optimus_sim::{ExecDag, TaskGraph, TaskId};
 
