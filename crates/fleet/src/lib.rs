@@ -11,8 +11,9 @@
 //!    optionally calibrated from observed traces via
 //!    [`optimus_calibrate::fit_mtbf`]), each priced by the **exact**
 //!    lifecycle ledger: recovery's one lifecycle walk, run without its
-//!    timeline in `O(failures · log steps)`
-//!    ([`optimus_recovery::lifecycle_ledger`]), so a replica audit
+//!    timeline in `O(failures)` — the steps that fit before each event
+//!    come from a closed form, not a search
+//!    ([`optimus_recovery::lifecycle_ledger`]) — so a replica audit
 //!    (`wall == useful + lost`, [`optimus_recovery::RecoveryOutcome::audit`])
 //!    backs every statistic. Replicas fan out over the deterministic worker
 //!    pool: bit-identical at any worker count.
@@ -25,7 +26,8 @@
 //!    long — [`SolverResult::gap_pct`] quantifies the goodput forfeited.
 //! 3. **Goodput frontiers** ([`frontier`], [`report`]) — p50/p99 goodput
 //!    over cluster size × MTBF × checkpoint policy × elastic mode, emitted
-//!    as a byte-stable [`FleetReport`] (golden text + JSON).
+//!    as a byte-stable [`FleetReport`] (golden text + JSON). Cells that
+//!    share a failure reality are priced once.
 //!
 //! # Examples
 //!

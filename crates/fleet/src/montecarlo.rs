@@ -69,8 +69,9 @@ pub struct McStudy {
 }
 
 /// Generates the `replicas` seeded failure traces of a scenario, fanned out
-/// over the worker pool (generation dominates the cost of a study; the
-/// ledger walk is near-free).
+/// over the worker pool. A trace set is generated once and priced many
+/// times: a solve walks the ledger over every replica once per interval it
+/// tries, and those walks, not generation, dominate a study's cost.
 pub fn replica_traces(
     sc: &FleetScenario,
     replicas: u32,

@@ -178,6 +178,13 @@ mod tests {
 
     fn tiny_report() -> FleetReport {
         let sc = FleetScenario::synthetic();
+        let summary = McSummary {
+            replicas: 8,
+            goodput_p50: 0.961,
+            goodput_p99: 0.948,
+            goodput_mean: 0.9605,
+            mean_failures: 890.25,
+        };
         FleetReport::new(
             &sc,
             8,
@@ -193,6 +200,10 @@ mod tests {
                 exact_goodput: 0.96,
                 gap_pct: 4.06,
                 evaluations: 31,
+                exact_summary: McSummary {
+                    goodput_mean: 0.96,
+                    ..summary.clone()
+                },
             }],
             vec![FrontierCell {
                 devices: 512,
@@ -200,13 +211,7 @@ mod tests {
                 policy: PlacementPolicy::Bubble,
                 mode: DegradedMode::ShrinkDp,
                 interval_steps: 22,
-                summary: McSummary {
-                    replicas: 8,
-                    goodput_p50: 0.961,
-                    goodput_p99: 0.948,
-                    goodput_mean: 0.9605,
-                    mean_failures: 890.25,
-                },
+                summary,
             }],
         )
     }

@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use optimus_recovery::{DegradedMode, FailureTrace, PlacementPolicy, RecoveryParams};
 
 use crate::error::{invalid, FleetError};
-use crate::montecarlo::{evaluate, replica_traces, McConfig};
+use crate::montecarlo::{evaluate, replica_traces, McConfig, McSummary};
 use crate::scenario::FleetScenario;
 
 /// The three interval answers for one (policy, elastic-mode) knob setting,
@@ -59,8 +59,14 @@ pub struct SolverResult {
     /// Goodput the textbook prescription forfeits, percent:
     /// `(exact − young_daly) / exact · 100`.
     pub gap_pct: f64,
-    /// Exact-ledger evaluations the search spent.
+    /// Exact-ledger evaluations the search spent: one per distinct
+    /// interval it priced. Reading [`SolverResult::exact_summary`] spends
+    /// none.
     pub evaluations: u32,
+    /// The full Monte Carlo summary at `exact_k` (its `goodput_mean` is
+    /// `exact_goodput`), so a caller pricing the same knob setting on the
+    /// same traces need not evaluate it again. Not part of the report.
+    pub exact_summary: McSummary,
 }
 
 impl SolverResult {
@@ -119,14 +125,14 @@ struct Search<'a> {
     params: RecoveryParams,
     traces: &'a [FailureTrace],
     workers: usize,
-    memo: BTreeMap<u32, f64>,
+    memo: BTreeMap<u32, McSummary>,
     evaluations: u32,
 }
 
 impl Search<'_> {
     fn eval(&mut self, k: u32) -> Result<f64, FleetError> {
-        if let Some(&g) = self.memo.get(&k) {
-            return Ok(g);
+        if let Some(summary) = self.memo.get(&k) {
+            return Ok(summary.goodput_mean);
         }
         let plan = self.sc.plan(self.policy, k);
         let study = evaluate(
@@ -137,19 +143,19 @@ impl Search<'_> {
             self.workers,
         )?;
         self.evaluations += 1;
-        self.memo.insert(k, study.summary.goodput_mean);
-        Ok(study.summary.goodput_mean)
+        let goodput = study.summary.goodput_mean;
+        self.memo.insert(k, study.summary);
+        Ok(goodput)
     }
 
     /// Best evaluated interval: max goodput, ties to the shorter interval
     /// (less work at risk for the same goodput).
     fn best(&self) -> (u32, f64) {
-        let (&k, &g) = self
-            .memo
+        self.memo
             .iter()
+            .map(|(&k, summary)| (k, summary.goodput_mean))
             .max_by(|(ka, ga), (kb, gb)| ga.total_cmp(gb).then_with(|| kb.cmp(ka)))
-            .expect("search evaluated at least one interval");
-        (k, g)
+            .expect("search evaluated at least one interval")
     }
 }
 
@@ -237,6 +243,7 @@ pub fn solve_on_traces(
     }
 
     let (exact_k, exact_goodput) = s.best();
+    let exact_summary = s.memo[&exact_k].clone();
     let young_daly_goodput = s.eval(young_daly_k)?;
     let self_consistent_goodput = s.eval(self_consistent_k)?;
     let gap_pct = if exact_goodput > 0.0 {
@@ -256,6 +263,7 @@ pub fn solve_on_traces(
         exact_goodput,
         gap_pct,
         evaluations: s.evaluations,
+        exact_summary,
     })
 }
 

@@ -259,11 +259,7 @@ fn mutation_swapping_same_stream_tasks_deadlocks() {
     // Swap microbatch 0's forward with the first backward on device 0's
     // compute queue: the backward transitively depends on that forward (via
     // the downstream rank), so queueing it first wedges the stream.
-    let q = lowered.graph.stream_queues();
-    let (_, compute0) = q
-        .iter()
-        .find(|((d, s), _)| *d == 0 && *s == Stream::Compute)
-        .expect("device 0 compute queue");
+    let compute0 = lowered.graph.dag().queue(0, Stream::Compute);
     let first_bwd = *compute0
         .iter()
         .find(|id| matches!(lowered.graph.task(**id).kind, TaskKind::LlmBwd { .. }))
@@ -336,11 +332,7 @@ fn mutation_swapping_enc_p2p_pair_order_breaks_channel() {
 
     // Swap the two transfers on rank 1's EncP2p queue: the receive order no
     // longer replays the send order, so the channel's sequences diverge.
-    let q = lowered.graph.stream_queues();
-    let (_, enc_p2p) = q
-        .iter()
-        .find(|((d, s), _)| *d == 1 && *s == Stream::EncP2p)
-        .expect("rank 1 EncP2p queue");
+    let enc_p2p = lowered.graph.dag().queue(1, Stream::EncP2p);
     assert_eq!(
         enc_p2p.len(),
         2,
@@ -362,12 +354,7 @@ fn mutation_dropping_enc_p2p_send_edge_leaves_dangling_receive() {
 
     // Cut the transfer's edge to its producer: a receive with no matching
     // send on any channel.
-    let q = g.stream_queues();
-    let (_, enc_p2p) = q
-        .iter()
-        .find(|((d, s), _)| *d == 1 && *s == Stream::EncP2p)
-        .expect("rank 1 EncP2p queue");
-    let tr = enc_p2p[0];
+    let tr = g.dag().queue(1, Stream::EncP2p)[0];
     let producer = g.task(tr).deps[0];
     assert_ne!(g.task(producer).device, 1, "dep should be the remote send");
     assert!(g.remove_dep(tr, producer));

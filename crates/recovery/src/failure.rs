@@ -270,6 +270,17 @@ pub struct ComponentSpec {
 }
 
 impl ComponentSpec {
+    /// The mean gap of this class's fleet-level stream over `num_devices`
+    /// devices (`> 0`), floor 1 ns: one device fails every
+    /// `mtbf_device_ns` on average, so `num_devices` of them fail
+    /// `num_devices`× as often. Together with the seed, the horizon and the
+    /// hazard, it is all [`ClassedTrace::generate`] reads to place a
+    /// class's failure times; the device count enters otherwise only
+    /// through the device ids drawn.
+    pub fn fleet_gap_ns(&self, num_devices: u32) -> u64 {
+        (self.mtbf_device_ns / u64::from(num_devices)).max(1)
+    }
+
     /// A conventional three-class fleet mix: GPU fail-stop (dominant rate,
     /// process restart), NIC/link faults (rarer, slower restart — the
     /// communicator must re-initialise), host loss (rarest, permanent until
@@ -362,9 +373,7 @@ impl ClassedTrace {
                 )));
             }
             spec.hazard.validate()?;
-            // Fleet-level mean gap: one device fails every mtbf_device on
-            // average, so num_devices of them fail num_devices× as often.
-            let fleet_mtbf = (spec.mtbf_device_ns / u64::from(num_devices)).max(1);
+            let fleet_mtbf = spec.fleet_gap_ns(num_devices);
             // Salt the seed per class so streams are independent and a
             // class's draws don't shift when another class is added.
             let mut rng =

@@ -14,10 +14,11 @@
 //! (the next failure, the replay catch-up, the degraded-mode repair
 //! landing, the end of the horizon) every step costs the same and
 //! checkpoints fire at fixed multiples of the interval, so the wall after
-//! `j` more steps is `wall + j·cost + ckpts(j)·spill`. A binary search on
-//! that strictly increasing function finds how many steps fit before the
-//! next event, and the whole stretch is booked in O(1). The ledger alone
-//! ([`lifecycle_ledger`]) therefore costs `O(failures · log steps)`, which
+//! `j` more steps is `wall + j·cost + ckpts(j)·spill`. That function is
+//! piecewise linear, one spill per period of `k` steps after the first
+//! boundary, so how many steps fit before the next event has a closed form
+//! (`max_steps_within`), and the whole stretch is booked in O(1). The
+//! ledger alone ([`lifecycle_ledger`]) therefore costs `O(failures)`, which
 //! is what month-long fleet horizons need. [`simulate_lifecycle`] runs the
 //! same walk and also records the gapless [`Segment`] timeline and the
 //! recovery trace events, expanding each stretch step by step.
@@ -301,7 +302,7 @@ pub fn simulate_lifecycle(
 }
 
 /// Runs the failure lifecycle for `horizon_steps` training steps in
-/// `O(failures · log steps)`: the ledger of [`simulate_lifecycle`], with
+/// `O(failures)`: the ledger of [`simulate_lifecycle`], with
 /// no segments or events.
 pub fn lifecycle_ledger(
     plan: &LedgerPlan,
@@ -468,10 +469,13 @@ fn walk(
         }
 
         // Jump: run as many steps as fit before the next event. `w(j)` is
-        // the wall at the loop top after `j` more steps — strictly
-        // increasing, so every cap is a binary search.
+        // the wall at the loop top after `j` more steps; every cap is the
+        // closed-form inverse of `w` (`max_steps_within`).
         let p0 = progress;
         let w = |j: u64| -> i64 { wall + j as i64 * cost + ckpts(p0, j) * spill };
+        let within = |budget: i64| -> u64 {
+            max_steps_within(i128::from(budget) - i128::from(wall), cost, spill, k, p0)
+        };
         let mut s: u64 = u64::from(n - p0);
         let replaying = p0 < replay_target;
         if replaying {
@@ -481,36 +485,15 @@ fn walk(
         }
         if let Some(t) = degraded_until {
             // The loop-top reshard-back fires at the first step boundary
-            // with `wall >= t`; the check above guarantees `w(0) < t`.
-            if w(s) >= t {
-                let (mut lo, mut hi) = (1u64, s);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if w(mid) >= t {
-                        hi = mid;
-                    } else {
-                        lo = mid + 1;
-                    }
-                }
-                s = lo;
-            }
+            // with `wall >= t`, i.e. one past the last `j` with
+            // `w(j) <= t - 1`; the check above guarantees `w(0) < t`.
+            s = s.min(within(t - 1).saturating_add(1));
         }
         if fi < fails.len() {
             // Step `j` (1-based) is failure-free iff `w(j-1) + cost <= at`;
             // the loop-top check guarantees step 1 is safe.
             let at = fails[fi].at.0 as i64;
-            if w(s - 1) + cost > at {
-                let (mut lo, mut hi) = (1u64, s); // lo safe, hi unsafe
-                while hi - lo > 1 {
-                    let mid = lo + (hi - lo) / 2;
-                    if w(mid - 1) + cost <= at {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                s = lo;
-            }
+            s = s.min(within(at - cost).saturating_add(1));
         }
 
         if let Some(tl) = rec.as_mut() {
@@ -577,6 +560,32 @@ fn walk(
     })
 }
 
+/// The largest `m >= 0` with `m·cost + ckpts(p0, m)·spill <= d`, where
+/// `ckpts(p0, m)` counts the multiples of `k` in `(p0, p0 + m]`: how many
+/// steps fit in a wall budget `d >= 0` from progress `p0`.
+///
+/// That wall is piecewise linear in `m`. The first `b = k − p0 mod k` steps
+/// reach the next checkpoint, and after it every period of `k` steps costs
+/// `k·cost + spill`. So if the budget runs out before the first checkpoint's
+/// spill is paid, the answer is `min(b − 1, d / cost)`. Otherwise it is `b`
+/// plus `q` whole periods plus `min(k − 1, r / cost)` steps of the next one,
+/// where `q` periods fit in `d − b·cost − spill` and `r` is the remainder.
+/// The arithmetic is `i128`; the result saturates at `u64::MAX`.
+fn max_steps_within(d: i128, cost: i64, spill: i64, k: u32, p0: u32) -> u64 {
+    debug_assert!(d >= 0 && cost > 0 && spill >= 0 && k > 0);
+    let (cost, spill, k) = (i128::from(cost), i128::from(spill), i128::from(k));
+    let b = k - i128::from(p0) % k;
+    let m = if d < b * cost + spill {
+        (b - 1).min(d / cost)
+    } else {
+        let e = d - b * cost - spill;
+        let period = k * cost + spill;
+        let (q, r) = (e / period, e % period);
+        b + q * k + (k - 1).min(r / cost)
+    };
+    u64::try_from(m).unwrap_or(u64::MAX)
+}
+
 /// Renders the timeline as a fixed-width text table (integer ns only, so
 /// the output is bit-exact across platforms — the golden-file format).
 pub fn timeline_text(outcome: &RecoveryOutcome) -> String {
@@ -616,6 +625,105 @@ pub fn timeline_text(outcome: &RecoveryOutcome) -> String {
 mod tests {
     use super::*;
     use crate::failure::{FailureTraceConfig, Hazard};
+    use optimus_detrand::{rngs::StdRng, RngExt, SeedableRng};
+
+    /// `m·cost + ckpts(p0, m)·spill`, the wall a stretch of `m` steps adds.
+    fn stretch(m: u64, cost: i64, spill: i64, k: u32, p0: u32) -> i128 {
+        let ckpts = (u64::from(p0) + m) / u64::from(k) - u64::from(p0) / u64::from(k);
+        i128::from(m) * i128::from(cost) + i128::from(ckpts) * i128::from(spill)
+    }
+
+    /// The definition [`max_steps_within`] replaced: a binary search for
+    /// the largest `m` whose stretch fits in `d` (`m <= d / cost` bounds
+    /// it, as every step costs at least `cost`).
+    fn max_steps_within_oracle(d: i128, cost: i64, spill: i64, k: u32, p0: u32) -> u64 {
+        let bound = (d / i128::from(cost)).min(i128::from(u64::MAX / 2));
+        let (mut lo, mut hi) = (0u64, bound as u64);
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            if stretch(mid, cost, spill, k, p0) <= d {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        lo
+    }
+
+    #[test]
+    fn closed_form_cap_matches_the_binary_search() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_CA95);
+        let mut cases = 0;
+        for round in 0..4_000u32 {
+            // Small values, a month-scale plan, and values near i64::MAX / 4.
+            let scale: i64 = match round % 3 {
+                0 => 50,
+                1 => 1_000_000_000,
+                _ => i64::MAX / 4,
+            };
+            let k = match round % 4 {
+                0 => 1,
+                1 => rng.random_range(2..=8u32),
+                _ => rng.random_range(1..=300u32),
+            };
+            let step = rng.random_range(1..=scale as u64) as i64;
+            // A degraded step above the full one on every other round.
+            let cost = if round % 2 == 0 {
+                step
+            } else {
+                step + rng.random_range(1..=scale as u64) as i64
+            };
+            let write = rng.random_range(0..=scale as u64) as i64 * 3;
+            let spill = if rng.random_range(0..2u32) == 0 {
+                0
+            } else {
+                write
+            };
+            // Progress on a checkpoint boundary or off it.
+            let p0 = if round % 5 == 0 {
+                rng.random_range(0..1_000u32) * k
+            } else {
+                rng.random_range(0..1_000_000u32)
+            };
+            let b = u64::from(k - p0 % k);
+            let m = rng.random_range(0..=3 * u64::from(k) + 5);
+            let exact = stretch(m, cost, spill, k, p0);
+            let budgets = [
+                0,
+                exact,                              // exactly w(m)
+                exact + 1,                          // just past it
+                (exact - 1).max(0),                 // just short of it
+                stretch(b, cost, spill, k, p0) - 1, // below w(b)
+                i128::from(rng.random_range(0..=scale as u64)) * 40,
+            ];
+            for d in budgets {
+                let want = max_steps_within_oracle(d, cost, spill, k, p0);
+                let got = max_steps_within(d, cost, spill, k, p0);
+                assert_eq!(got, want, "d {d} cost {cost} spill {spill} k {k} p0 {p0}");
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 24_000);
+        // The failure and degraded-exit caps are the closed form plus one:
+        // the largest `s` whose steps all finish by `at`, and the first
+        // boundary whose wall reaches `t`, checked by linear scan.
+        for (cost, spill, k, p0) in [(3, 0, 1, 0), (3, 5, 4, 2), (7, 7, 3, 3), (2, 9, 5, 11)] {
+            for budget in 0..80i64 {
+                let s = max_steps_within(i128::from(budget), cost, spill, k, p0) + 1;
+                let w = |j: u64| stretch(j, cost, spill, k, p0) as i64;
+                // Failure at `at = budget + cost`: step `j` is safe iff
+                // `w(j - 1) + cost <= at`.
+                let at = budget + cost;
+                let safe = (1..200u64).take_while(|&j| w(j - 1) + cost <= at).count() as u64;
+                assert_eq!(s, safe, "failure cap at {at}");
+                // Repair at `t = budget + 1`: exit after the first step
+                // whose wall reaches `t`.
+                let t = budget + 1;
+                let exit = (1..200u64).find(|&j| w(j) >= t).expect("exit");
+                assert_eq!(s, exit, "exit cap at {t}");
+            }
+        }
+    }
 
     #[test]
     fn rejects_degenerate_plans_and_horizons() {

@@ -269,17 +269,6 @@ impl TaskGraph {
             .flat_map(|t| t.deps.iter().map(move |&d| (d, t.id)))
     }
 
-    /// Per-`(device, stream)` FIFO queues in execution (= insertion) order.
-    /// Only non-empty queues are returned; pairs are sorted by device then
-    /// stream index so iteration order is deterministic.
-    pub fn stream_queues(&self) -> Vec<((u32, Stream), Vec<TaskId>)> {
-        let dag = self.dag();
-        (0..self.num_devices)
-            .flat_map(|d| Stream::ALL.map(|s| ((d, s), dag.queue(d, s).to_vec())))
-            .filter(|(_, q)| !q.is_empty())
-            .collect()
-    }
-
     /// Removes a dependency edge, returning whether it was present. Exists
     /// for mutation testing (knock out one edge, confirm the static analyzer
     /// notices); lowering never removes edges.
@@ -372,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn dep_edges_and_stream_queues_enumerate_structure() {
+    fn dep_edges_and_index_queues_enumerate_structure() {
         let mut g = TaskGraph::new(2);
         let a = g.push("a", 0, Stream::Compute, DurNs(1), TaskKind::Generic, vec![]);
         let b = g.push(
@@ -387,14 +376,11 @@ mod tests {
         g.add_dep(b, c);
         let edges: Vec<_> = g.dep_edges().collect();
         assert_eq!(edges, vec![(a, b), (c, b), (a, c)]);
-        let queues = g.stream_queues();
-        assert_eq!(
-            queues,
-            vec![
-                ((0, Stream::Compute), vec![a, b]),
-                ((1, Stream::TpComm), vec![c]),
-            ]
-        );
+        let dag = g.dag();
+        assert_eq!(dag.queue(0, Stream::Compute), &[a, b]);
+        assert_eq!(dag.queue(1, Stream::TpComm), &[c]);
+        assert!(dag.queue(0, Stream::TpComm).is_empty());
+        assert!(dag.queue(1, Stream::Compute).is_empty());
     }
 
     #[test]
