@@ -2,9 +2,7 @@
 //! DP collective sizing, stage construction, memory estimation and report
 //! assembly.
 
-use optimus_cluster::{
-    ClusterTopology, CollectiveKind, CommCostModel, DurNs, GpuProfile, ProcessGroup,
-};
+use optimus_cluster::{ClusterTopology, CollectiveKind, DurNs, GpuProfile, ProcessGroup};
 use optimus_modeling::kernels::KernelTimer;
 use optimus_modeling::memory::{
     activation_bytes_per_layer, model_state_bytes, MemoryEstimate, Recompute,
@@ -15,13 +13,12 @@ use optimus_pipeline::StageSpec;
 
 use crate::error::BaselineError;
 
-/// Cluster + communication model bundle shared by all systems.
+/// The cluster every system is priced against: GPU roofline profile and
+/// the link profiles the α–β communication model reads.
 #[derive(Debug, Clone)]
 pub struct SystemContext {
     /// Cluster topology.
     pub topo: ClusterTopology,
-    /// Communication cost model over the topology.
-    pub comm: CommCostModel,
 }
 
 impl SystemContext {
@@ -29,20 +26,14 @@ impl SystemContext {
     pub fn hopper(num_gpus: u32) -> Result<SystemContext, BaselineError> {
         let topo = ClusterTopology::hopper_cluster(num_gpus)
             .map_err(|e| BaselineError::Setup(e.to_string()))?;
-        Ok(SystemContext {
-            comm: CommCostModel::new(topo.clone()),
-            topo,
-        })
+        Ok(SystemContext { topo })
     }
 
     /// Ampere node (Appendix C comparison).
     pub fn ampere(num_gpus: u32) -> Result<SystemContext, BaselineError> {
         let topo = ClusterTopology::ampere_node(num_gpus)
             .map_err(|e| BaselineError::Setup(e.to_string()))?;
-        Ok(SystemContext {
-            comm: CommCostModel::new(topo.clone()),
-            topo,
-        })
+        Ok(SystemContext { topo })
     }
 
     /// Context with a custom GPU profile (e.g. the degraded profile modeling
@@ -50,20 +41,14 @@ impl SystemContext {
     pub fn with_gpu(&self, gpu: GpuProfile) -> SystemContext {
         let mut topo = self.topo.clone();
         topo.gpu = gpu;
-        SystemContext {
-            comm: CommCostModel::new(topo.clone()),
-            topo,
-        }
+        SystemContext { topo }
     }
 
     /// Context rebound to a different topology (e.g. one with degraded
-    /// links from a fault model), with a fresh communication cost model —
-    /// the memo cache of the original must not leak stale link prices.
+    /// links from a fault model, or calibrated ones); every duration it
+    /// prices afterwards reads the new topology's profiles.
     pub fn with_topology(&self, topo: ClusterTopology) -> SystemContext {
-        SystemContext {
-            comm: self.comm.with_topology(topo.clone()),
-            topo,
-        }
+        SystemContext { topo }
     }
 
     /// A tensor-parallel group of `tp` adjacent GPUs (always intra-node by
@@ -83,11 +68,7 @@ impl SystemContext {
 
     /// Kernel timer bound to a TP group of the given degree.
     pub fn timer(&self, tp: u32) -> Result<KernelTimer, BaselineError> {
-        Ok(KernelTimer::new(
-            self.topo.gpu.clone(),
-            self.comm.clone(),
-            self.tp_group(tp)?,
-        ))
+        Ok(KernelTimer::new(self.topo.clone(), self.tp_group(tp)?))
     }
 
     /// Unhidden DP collective durations for a rank holding
@@ -111,9 +92,9 @@ impl SystemContext {
         // tensor — and reduce-scatters the fp32 gradients of the same
         // tensor. The collective payload is the rank-local tensor size.
         let ag = self
-            .comm
+            .topo
             .collective_time(CollectiveKind::AllGather, chunk_params * 2, &group);
-        let rs = self.comm.straggled_collective_time(
+        let rs = self.topo.straggled_collective_time(
             CollectiveKind::ReduceScatter,
             chunk_params * 4,
             &group,
@@ -125,9 +106,9 @@ impl SystemContext {
     pub fn p2p(&self, activation_bytes: u64) -> DurNs {
         // Adjacent pipeline stages live on different nodes at scale.
         if self.topo.num_nodes > 1 {
-            self.comm.p2p_time_internode(activation_bytes)
+            self.topo.p2p_time_internode(activation_bytes)
         } else {
-            self.comm.p2p_time_intranode(activation_bytes)
+            self.topo.p2p_time_intranode(activation_bytes)
         }
     }
 }
@@ -243,7 +224,8 @@ pub fn make_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optimus_modeling::MllmConfig;
+    use optimus_cluster::LinkClass;
+    use optimus_modeling::{layer_kernels, MllmConfig, Pass};
 
     #[test]
     fn dp_comm_reduce_scatter_exceeds_all_gather() {
@@ -252,6 +234,25 @@ mod tests {
         let (ag, rs) = ctx.dp_comm(2_000_000_000, 1, 48, 64).unwrap();
         let ratio = rs.as_secs_f64() / ag.as_secs_f64();
         assert!((2.3..3.2).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn rebinding_to_a_degraded_topology_reprices_collectives() {
+        // Halve NVLink bandwidth: the rebound context's TP and intra-node DP
+        // collectives must be priced on the degraded link.
+        let ctx = SystemContext::hopper(16).unwrap();
+        let nvlink = ctx.topo.nvlink.degraded(0.5, 1.0);
+        let slow = ctx.with_topology(ctx.topo.with_link_profile(LinkClass::NvLink, nvlink));
+        let (ag, rs) = ctx.dp_comm(1 << 30, 1, 8, 1).unwrap();
+        let (slow_ag, slow_rs) = slow.dp_comm(1 << 30, 1, 8, 1).unwrap();
+        assert!(
+            slow_ag > ag && slow_rs > rs,
+            "{slow_ag} vs {ag}, {slow_rs} vs {rs}"
+        );
+        let layer = layer_kernels(&TransformerConfig::gpt_175b(), 1, 2048, 8, Pass::Forward);
+        let tp = ctx.timer(8).unwrap().comm_total(&layer);
+        let slow_tp = slow.timer(8).unwrap().comm_total(&layer);
+        assert!(slow_tp > tp, "{slow_tp} vs {tp}");
     }
 
     #[test]

@@ -59,10 +59,10 @@ pub fn fsdp(w: &Workload, ctx: &SystemContext) -> Result<StepReport, BaselineErr
     let group = ProcessGroup::contiguous(0, n).map_err(|e| BaselineError::Setup(e.to_string()))?;
     let params = w.mllm.total_params();
     let ag = ctx
-        .comm
+        .topo
         .collective_time(CollectiveKind::AllGather, params * 2, &group);
     let rs = ctx
-        .comm
+        .topo
         .collective_time(CollectiveKind::ReduceScatter, params * 4, &group);
     let comm = 2.0 * ag.as_secs_f64() + rs.as_secs_f64();
 

@@ -3,19 +3,14 @@
 //! Paper observation: the compute stream idles during the per-layer
 //! all-gather / reduce-scatter kernels; TP bubbles average ≈300 µs.
 
-use optimus_cluster::{ClusterTopology, CommCostModel, GpuProfile, ProcessGroup};
+use optimus_cluster::{ClusterTopology, ProcessGroup};
 use optimus_modeling::{layer_kernels, KernelTimer, Pass, TransformerConfig};
 use optimus_trace::TextTable;
 
 /// Runs the Fig. 3 reproduction; returns (report, mean TP-bubble µs).
 pub fn run() -> (String, f64) {
     let topo = ClusterTopology::hopper_cluster(8).expect("cluster");
-    let comm = CommCostModel::new(topo);
-    let timer = KernelTimer::new(
-        GpuProfile::h100(),
-        comm,
-        ProcessGroup::contiguous(0, 8).unwrap(),
-    );
+    let timer = KernelTimer::new(topo, ProcessGroup::contiguous(0, 8).unwrap());
     let cfg = TransformerConfig::gpt_175b();
     let kernels = layer_kernels(&cfg, 2, 2048, 8, Pass::Forward);
 

@@ -522,8 +522,5 @@ mod tests {
         let ctx = SystemContext::hopper(16).unwrap();
         let cctx = cal.context(&ctx);
         assert!((cctx.topo.nvlink.bandwidth - 200e9).abs() / 200e9 < 1e-2);
-        // Fresh cost model bound to the calibrated topology.
-        assert_eq!(cctx.comm.topology().nvlink, cctx.topo.nvlink);
-        assert_eq!(cctx.comm.cache_len(), 0);
     }
 }

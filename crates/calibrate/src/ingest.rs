@@ -192,19 +192,26 @@ impl IngestedTrace {
     /// chrome round-trip is checked against, and the cheap path when the
     /// graph is already in memory (fidelity comparisons).
     pub fn from_simulation(graph: &TaskGraph, result: &SimResult) -> IngestedTrace {
+        let dag = graph.dag();
         let mut trace = IngestedTrace::default();
-        for t in graph.tasks() {
-            let span = result.span(t.id);
-            trace
-                .tracks
-                .entry((t.device, t.stream.index() as u32))
-                .or_default()
-                .push(IngestedSpan {
-                    label: t.label.to_string(),
-                    cat: stream_name(t.stream.index() as u32).to_string(),
-                    start: span.start.0 as Ts,
-                    end: span.end.0 as Ts,
+        for device in 0..graph.num_devices() {
+            for stream in Stream::ALL {
+                let queue = dag.queue(device, stream);
+                if queue.is_empty() {
+                    continue;
+                }
+                let tid = stream.index() as u32;
+                let spans = queue.iter().map(|&id| {
+                    let span = result.span(id);
+                    IngestedSpan {
+                        label: graph.task(id).label.to_string(),
+                        cat: stream_name(tid).to_string(),
+                        start: span.start.0 as Ts,
+                        end: span.end.0 as Ts,
+                    }
                 });
+                trace.tracks.insert((device, tid), spans.collect());
+            }
         }
         trace
     }

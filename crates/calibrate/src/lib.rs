@@ -3,7 +3,7 @@
 //!
 //! Every planning decision in this workspace rides on two analytic cost
 //! models: the roofline [`GpuProfile`](optimus_cluster::GpuProfile) and the
-//! α–β ring [`CommCostModel`](optimus_cluster::CommCostModel). This crate
+//! α–β ring [collective model](optimus_cluster::ClusterTopology::collective_time). This crate
 //! closes the loop between those models and observed executions in three
 //! layers:
 //!

@@ -8,9 +8,7 @@
 //! randomness flows through `optimus-detrand`, so a seed fully determines
 //! the truth and the log.
 
-use optimus_cluster::{
-    ClusterTopology, CommCostModel, DeviceId, KernelClass, LinkClass, ProcessGroup,
-};
+use optimus_cluster::{ClusterTopology, DeviceId, KernelClass, LinkClass, ProcessGroup};
 use optimus_detrand::{rngs::StdRng, RngExt, SeedableRng};
 
 use crate::samples::{CommOp, CommSample, KernelLog, KernelSample};
@@ -54,7 +52,6 @@ pub fn apply_profiles(base: &ClusterTopology, truth: &ClusterTopology) -> Cluste
 /// and payloads from 1 KiB to 128 MiB.
 pub fn synth_log(truth: &ClusterTopology, seed: u64, kernels: usize, comms: usize) -> KernelLog {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let comm = CommCostModel::new(truth.clone());
     let mut log = KernelLog::default();
 
     for i in 0..kernels {
@@ -90,7 +87,7 @@ pub fn synth_log(truth: &ClusterTopology, seed: u64, kernels: usize, comms: usiz
                     LinkClass::Rdma => (DeviceId(0), DeviceId(truth.gpus_per_node)),
                     _ => (DeviceId(0), DeviceId(1)),
                 };
-                (2, comm.p2p_time(bytes, src, dst))
+                (2, truth.p2p_time(bytes, src, dst))
             }
             _ => {
                 let kind = op.collective_kind().expect("collective op");
@@ -108,7 +105,7 @@ pub fn synth_log(truth: &ClusterTopology, seed: u64, kernels: usize, comms: usiz
                         ProcessGroup::contiguous(0, g).expect("contiguous group")
                     }
                 };
-                (group.size(), comm.collective_time(kind, bytes, &group))
+                (group.size(), truth.collective_time(kind, bytes, &group))
             }
         };
         log.comms.push(CommSample {

@@ -5,16 +5,20 @@
 //! `β` is the bandwidth of the slowest link on the ring. This matches how
 //! NCCL ring collectives scale and is the model used by Megatron-LM-style
 //! planners when estimating communication time.
+//!
+//! The model is a handful of float operations over the link profiles of a
+//! [`ClusterTopology`], so it is priced directly from the topology on every
+//! query: a degraded or calibrated topology reprices its collectives with
+//! nothing to invalidate.
 
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-
-use crate::fingerprint::{Fingerprint, FpHasher};
 use crate::group::ProcessGroup;
 use crate::time::DurNs;
-use crate::topology::{ClusterTopology, DeviceId, LinkClass};
+use crate::topology::{ClusterTopology, DeviceId};
+
+/// Multiplier (> 1.0) applied to the end-of-step gradient reduce-scatter to
+/// model straggler synchronisation delay (§2.2 footnote 1), matching the
+/// reduce-scatter ≫ all-gather bubble seen in the paper's production traces.
+pub const DP_STRAGGLER_FACTOR: f64 = 1.35;
 
 /// The collective operations the training stack issues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,199 +33,19 @@ pub enum CollectiveKind {
     Broadcast,
 }
 
-impl CollectiveKind {
-    /// Stable short label, used in fingerprints.
-    pub fn label(self) -> &'static str {
-        match self {
-            CollectiveKind::AllGather => "allgather",
-            CollectiveKind::ReduceScatter => "reducescatter",
-            CollectiveKind::AllReduce => "allreduce",
-            CollectiveKind::Broadcast => "broadcast",
-        }
-    }
-}
-
-/// Memo key for one ring-collective query: the canonical fingerprint of the
-/// four values the α–β cost depends on (kind, group size, payload,
-/// bottleneck link class) — not the concrete rank list. Keying on the shared
-/// [`Fingerprint`] type keeps this memo on the same canonical hashing as the
-/// plan cache instead of a bespoke tuple encoding.
-type CollectiveKey = Fingerprint;
-
-fn collective_key(
-    kind: CollectiveKind,
-    group_size: u32,
-    bytes: u64,
-    class: LinkClass,
-) -> Fingerprint {
-    FpHasher::new("collective-query/v1")
-        .fold_str(kind.label())
-        .fold_u32(group_size)
-        .fold_u64(bytes)
-        .fold_str(class.label())
-        .finish()
-}
-
-/// Hit/miss counters of the collective cost cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Queries answered from the memo table.
-    pub hits: u64,
-    /// Queries that computed and inserted a fresh entry.
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Fraction of queries served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
-/// Concurrent memo table for ring-collective costs.
-///
-/// The planner's search re-queries the same (kind, group size, payload,
-/// link class) tuples thousands of times per candidate sweep; after warmup
-/// every query is a shared read lock plus a hash probe. Cloning the owning
-/// [`CommCostModel`] shares the table, so parallel search workers populate
-/// one memo.
-#[derive(Default)]
-pub struct CollectiveCostCache {
-    table: RwLock<HashMap<CollectiveKey, DurNs>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl CollectiveCostCache {
-    fn get_or_insert_with(&self, key: CollectiveKey, compute: impl FnOnce() -> DurNs) -> DurNs {
-        if let Some(&dur) = self.table.read().expect("cost cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return dur;
-        }
-        // Recompute outside any lock; the model is pure, so a racing insert
-        // of the same key writes the identical value.
-        let dur = compute();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.table
-            .write()
-            .expect("cost cache poisoned")
-            .insert(key, dur);
-        dur
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    fn clear(&self) {
-        self.table.write().expect("cost cache poisoned").clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
-    fn len(&self) -> usize {
-        self.table.read().expect("cost cache poisoned").len()
-    }
-}
-
-impl fmt::Debug for CollectiveCostCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CollectiveCostCache")
-            .field("entries", &self.len())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// Communication cost model bound to one cluster topology.
-#[derive(Debug, Clone)]
-pub struct CommCostModel {
-    topo: ClusterTopology,
-    /// Multiplier (> 1.0) applied to the end-of-step reduce-scatter to model
-    /// straggler synchronisation delay (§2.2 footnote 1).
-    pub straggler_factor: f64,
-    cache: Arc<CollectiveCostCache>,
-}
-
-impl CommCostModel {
-    /// Builds a cost model with the default straggler factor observed in the
-    /// paper's production traces (reduce-scatter ≫ all-gather bubble).
-    pub fn new(topo: ClusterTopology) -> CommCostModel {
-        CommCostModel {
-            topo,
-            straggler_factor: 1.35,
-            cache: Arc::new(CollectiveCostCache::default()),
-        }
-    }
-
-    /// The bound topology.
-    pub fn topology(&self) -> &ClusterTopology {
-        &self.topo
-    }
-
-    /// Rebinds the model to a different topology (e.g. one with degraded
-    /// links), preserving the straggler factor but starting from an empty
-    /// memo table: cached entries are keyed by link *class* only, so entries
-    /// priced against the old link profiles must not leak into the new model.
-    pub fn with_topology(&self, topo: ClusterTopology) -> CommCostModel {
-        CommCostModel {
-            topo,
-            straggler_factor: self.straggler_factor,
-            cache: Arc::new(CollectiveCostCache::default()),
-        }
-    }
-
-    /// Hit/miss counters of the collective memo table.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Number of memoised collective costs.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Empties the memo table and resets the counters.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
+impl ClusterTopology {
     /// Ring-collective time for `bytes` total payload over `group`.
     ///
     /// `bytes` is the full tensor size: each rank contributes/receives
     /// `bytes / g`. All-reduce costs two ring passes (reduce-scatter +
-    /// all-gather); the others cost one.
-    ///
-    /// Results are memoised per (kind, group size, payload, bottleneck link
-    /// class) — the only inputs the α–β model reads — behind a concurrent
-    /// read path shared by clones of this model.
+    /// all-gather); the others cost one. The price depends only on the
+    /// group's size and bottleneck link class, not on its concrete ranks.
     pub fn collective_time(&self, kind: CollectiveKind, bytes: u64, group: &ProcessGroup) -> DurNs {
         if group.size() <= 1 {
             return DurNs::ZERO;
         }
-        let class = group.bottleneck_link(&self.topo);
-        self.cache
-            .get_or_insert_with(collective_key(kind, group.size(), bytes, class), || {
-                self.compute_collective_time(kind, bytes, group.size(), class)
-            })
-    }
-
-    fn compute_collective_time(
-        &self,
-        kind: CollectiveKind,
-        bytes: u64,
-        group_size: u32,
-        class: LinkClass,
-    ) -> DurNs {
-        let g = f64::from(group_size);
-        let link = self.topo.link_profile(class);
+        let g = f64::from(group.size());
+        let link = self.link_profile(group.bottleneck_link(self));
         let passes = match kind {
             CollectiveKind::AllReduce => 2.0,
             CollectiveKind::AllGather
@@ -233,8 +57,8 @@ impl CommCostModel {
         DurNs::from_secs_f64(alpha + beta)
     }
 
-    /// Same as [`collective_time`](Self::collective_time) but with the
-    /// straggler factor applied — used for the end-of-step gradient
+    /// Same as [`collective_time`](Self::collective_time) but inflated by
+    /// [`DP_STRAGGLER_FACTOR`] — used for the end-of-step gradient
     /// reduce-scatter, which waits on the slowest DP replica.
     pub fn straggled_collective_time(
         &self,
@@ -243,12 +67,12 @@ impl CommCostModel {
         group: &ProcessGroup,
     ) -> DurNs {
         let base = self.collective_time(kind, bytes, group);
-        DurNs::from_secs_f64(base.as_secs_f64() * self.straggler_factor)
+        DurNs::from_secs_f64(base.as_secs_f64() * DP_STRAGGLER_FACTOR)
     }
 
     /// Point-to-point transfer time for `bytes` between two devices.
     pub fn p2p_time(&self, bytes: u64, src: DeviceId, dst: DeviceId) -> DurNs {
-        let link = self.topo.link_profile(self.topo.link_class(src, dst));
+        let link = self.link_profile(self.link_class(src, dst));
         if link.bandwidth.is_infinite() {
             return DurNs::ZERO;
         }
@@ -259,13 +83,13 @@ impl CommCostModel {
     /// stages (used when the concrete device placement is abstracted away:
     /// adjacent pipeline stages usually live on different nodes at scale).
     pub fn p2p_time_internode(&self, bytes: u64) -> DurNs {
-        let link = self.topo.rdma;
+        let link = self.rdma;
         DurNs::from_secs_f64(link.latency + bytes as f64 / link.bandwidth)
     }
 
     /// P2P time over NVLink (adjacent stages colocated in one server).
     pub fn p2p_time_intranode(&self, bytes: u64) -> DurNs {
-        let link = self.topo.nvlink;
+        let link = self.nvlink;
         DurNs::from_secs_f64(link.latency + bytes as f64 / link.bandwidth)
     }
 }
@@ -273,9 +97,10 @@ impl CommCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::LinkClass;
 
-    fn model(gpus: u32) -> CommCostModel {
-        CommCostModel::new(ClusterTopology::hopper_cluster(gpus).unwrap())
+    fn model(gpus: u32) -> ClusterTopology {
+        ClusterTopology::hopper_cluster(gpus).unwrap()
     }
 
     #[test]
@@ -329,113 +154,17 @@ mod tests {
     }
 
     #[test]
-    fn cache_counts_hits_and_misses() {
-        let m = model(16);
-        let g = ProcessGroup::contiguous(0, 8).unwrap();
-        assert_eq!(m.cache_stats(), CacheStats::default());
-        let first = m.collective_time(CollectiveKind::AllGather, 1 << 20, &g);
-        assert_eq!(m.cache_stats(), CacheStats { hits: 0, misses: 1 });
-        let second = m.collective_time(CollectiveKind::AllGather, 1 << 20, &g);
-        assert_eq!(first, second);
-        assert_eq!(m.cache_stats(), CacheStats { hits: 1, misses: 1 });
-        // A different payload, kind, or link class is a distinct entry.
-        m.collective_time(CollectiveKind::AllGather, 1 << 21, &g);
-        m.collective_time(CollectiveKind::AllReduce, 1 << 20, &g);
-        let inter = ProcessGroup::new((0..8).map(|i| DeviceId(i * 2)).collect()).unwrap();
-        m.collective_time(CollectiveKind::AllGather, 1 << 20, &inter);
-        assert_eq!(m.cache_stats(), CacheStats { hits: 1, misses: 4 });
-        assert_eq!(m.cache_len(), 4);
-        assert!((m.cache_stats().hit_rate() - 0.2).abs() < 1e-12);
-        m.clear_cache();
-        assert_eq!(m.cache_stats(), CacheStats::default());
-        assert_eq!(m.cache_len(), 0);
-    }
-
-    #[test]
-    fn cached_groups_with_same_shape_share_entries() {
-        // Two distinct rank lists with identical (size, link class) must hit
-        // the same memo entry — the α–β model cannot tell them apart.
+    fn groups_with_same_size_and_link_class_price_the_same() {
+        // The α–β model reads only the group's size and bottleneck link
+        // class, so two distinct rank lists sharing both price the same.
         let m = model(16);
         let a = ProcessGroup::contiguous(0, 4).unwrap();
         let b = ProcessGroup::contiguous(4, 4).unwrap();
+        assert_eq!(a.bottleneck_link(&m), LinkClass::NvLink);
+        assert_eq!(b.bottleneck_link(&m), LinkClass::NvLink);
         let ta = m.collective_time(CollectiveKind::ReduceScatter, 1 << 24, &a);
         let tb = m.collective_time(CollectiveKind::ReduceScatter, 1 << 24, &b);
         assert_eq!(ta, tb);
-        assert_eq!(m.cache_stats(), CacheStats { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn clones_share_one_cache() {
-        let m = model(8);
-        let g = ProcessGroup::contiguous(0, 8).unwrap();
-        let clone = m.clone();
-        m.collective_time(CollectiveKind::AllGather, 1 << 20, &g);
-        clone.collective_time(CollectiveKind::AllGather, 1 << 20, &g);
-        assert_eq!(m.cache_stats(), CacheStats { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn singleton_groups_bypass_the_cache() {
-        let m = model(8);
-        let g = ProcessGroup::contiguous(0, 1).unwrap();
-        m.collective_time(CollectiveKind::AllGather, 1 << 30, &g);
-        assert_eq!(m.cache_stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn cache_is_consistent_across_threads() {
-        let m = model(64);
-        let uncached = CommCostModel::new(m.topology().clone());
-        let payloads: Vec<u64> = (0..32).map(|i| 1u64 << (10 + i % 16)).collect();
-        let kinds = [
-            CollectiveKind::AllGather,
-            CollectiveKind::ReduceScatter,
-            CollectiveKind::AllReduce,
-        ];
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    let g = ProcessGroup::contiguous(0, 16).unwrap();
-                    for &bytes in &payloads {
-                        for kind in kinds {
-                            let cached = m.collective_time(kind, bytes, &g);
-                            let fresh = uncached.compute_collective_time(
-                                kind,
-                                bytes,
-                                g.size(),
-                                g.bottleneck_link(uncached.topology()),
-                            );
-                            assert_eq!(cached, fresh);
-                        }
-                    }
-                });
-            }
-        });
-        let stats = m.cache_stats();
-        // 8 threads × 32 payloads × 3 kinds = 768 queries over ≤ 96 distinct
-        // keys (racing threads may each take the miss path for one key, so
-        // the miss count can exceed the final entry count slightly).
-        assert_eq!(stats.hits + stats.misses, 768);
-        let entries = m.cache_len() as u64;
-        assert!(entries <= 96 && stats.misses >= entries, "{stats:?}");
-        assert!(stats.hits >= 768 - stats.misses);
-    }
-
-    #[test]
-    fn rebinding_topology_starts_a_fresh_cache() {
-        let m = model(16);
-        let g = ProcessGroup::contiguous(0, 8).unwrap();
-        let base = m.collective_time(CollectiveKind::AllGather, 1 << 26, &g);
-        // Halve NVLink bandwidth; the same query must be re-priced, not
-        // served from the old model's memo table.
-        let degraded = m
-            .topology()
-            .with_link_profile(LinkClass::NvLink, m.topology().nvlink.degraded(0.5, 1.0));
-        let m2 = m.with_topology(degraded);
-        assert_eq!(m2.cache_stats(), CacheStats::default());
-        let slow = m2.collective_time(CollectiveKind::AllGather, 1 << 26, &g);
-        assert!(slow > base, "degraded {slow} vs {base}");
-        assert_eq!(m2.straggler_factor, m.straggler_factor);
     }
 
     #[test]

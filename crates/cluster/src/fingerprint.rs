@@ -21,8 +21,7 @@
 //! This module deliberately has no dependencies: it lives in the lowest
 //! crate of the workspace so `cluster`, `modeling`, `calibrate`, and the
 //! plan service all share one definition instead of growing ad-hoc
-//! format-string keys (the pre-existing collective-cost memo key and the
-//! chaos re-plan memo key are both re-based onto it).
+//! format-string keys (the chaos re-plan memo key is re-based onto it).
 
 use std::fmt;
 

@@ -4,7 +4,8 @@
 //! connected by NVLink (intra-server) and RDMA (inter-server). This crate is
 //! the analytic stand-in for that hardware: GPU roofline profiles, cluster
 //! topology, process groups and an α–β cost model for the collectives and
-//! point-to-point transfers the training stack issues.
+//! point-to-point transfers the training stack issues, priced directly from
+//! the topology's link profiles.
 //!
 //! Everything upstream (kernel decomposition, pipeline schedules, the bubble
 //! scheduler) consumes *durations* produced here, exactly as the real system
@@ -13,12 +14,11 @@
 //! # Examples
 //!
 //! ```
-//! use optimus_cluster::{ClusterTopology, CommCostModel, CollectiveKind, ProcessGroup};
+//! use optimus_cluster::{ClusterTopology, CollectiveKind, ProcessGroup};
 //!
 //! let topo = ClusterTopology::hopper_cluster(16).unwrap();
-//! let comm = CommCostModel::new(topo);
 //! let tp_group = ProcessGroup::contiguous(0, 8).unwrap();
-//! let t = comm.collective_time(CollectiveKind::AllGather, 64 << 20, &tp_group);
+//! let t = topo.collective_time(CollectiveKind::AllGather, 64 << 20, &tp_group);
 //! assert!(t.as_micros_f64() > 0.0);
 //! ```
 
@@ -33,7 +33,7 @@ pub mod hardware;
 pub mod time;
 pub mod topology;
 
-pub use collective::{CollectiveKind, CommCostModel};
+pub use collective::{CollectiveKind, DP_STRAGGLER_FACTOR};
 pub use error::ClusterError;
 pub use fingerprint::{Fingerprint, FpHasher};
 pub use group::ProcessGroup;

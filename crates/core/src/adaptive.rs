@@ -92,7 +92,7 @@ fn sim_err(e: optimus_sim::SimError) -> OptimusError {
 }
 
 /// The fault-aware re-plan setting of `cfg` on `ctx` under `faults`: link
-/// prices from the degraded topology (a rebuilt cost model), unadjusted
+/// prices from the degraded topology (the context rebound to it), unadjusted
 /// dependency points so the re-plan can be spliced, the bubble margin
 /// widened to the worst jitter, and — when some device straggles or the
 /// microbatch loads shift — the per-microbatch encoder cost scales
@@ -141,13 +141,6 @@ pub fn resilience_study(
         return Err(OptimusError::Setup(format!(
             "drift threshold {drift_threshold} must be finite and >= 0"
         )));
-    }
-    if run.profile.adjusted {
-        return Err(OptimusError::Infeasible(
-            "resilience study requires unadjusted dependency points (set \
-             OptimusConfig::adjust_dep_points = false)"
-                .into(),
-        ));
     }
 
     // The profiled timeline: the chosen schedule spliced into the LLM graph.

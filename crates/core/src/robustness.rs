@@ -76,13 +76,6 @@ pub fn jitter_study(
             "jitter {jitter} outside [0, 1)"
         )));
     }
-    if run.profile.adjusted {
-        return Err(OptimusError::Infeasible(
-            "jitter study requires unadjusted dependency points (set \
-             OptimusConfig::adjust_dep_points = false)"
-                .into(),
-        ));
-    }
     let lowered = lowered_schedule(run, w, ctx)?;
     let baseline = simulate(&lowered.graph)
         .map_err(|e| OptimusError::Substrate(e.to_string()))?
@@ -148,11 +141,6 @@ pub fn drift_study(
 ) -> Result<DriftReport, OptimusError> {
     if !(1.0..4.0).contains(&drift) {
         return Err(OptimusError::Setup(format!("drift {drift} outside [1, 4)")));
-    }
-    if run.profile.adjusted {
-        return Err(OptimusError::Infeasible(
-            "drift study requires unadjusted dependency points".into(),
-        ));
     }
     let lowered = lowered_schedule(run, w, ctx)?;
     let baseline = simulate(&lowered.graph)
@@ -291,6 +279,10 @@ mod tests {
         let run = run_optimus(&w, &cfg, &ctx).unwrap();
         assert!(matches!(
             jitter_study(&run, &w, &ctx, 0.05, 3),
+            Err(OptimusError::Infeasible(_))
+        ));
+        assert!(matches!(
+            drift_study(&run, &w, &ctx, &cfg, 1.15),
             Err(OptimusError::Infeasible(_))
         ));
     }

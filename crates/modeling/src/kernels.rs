@@ -7,9 +7,7 @@
 //! parallelism: two all-gathers and two reduce-scatters per layer pass
 //! interleaved with the compute kernels (Korthikanti et al., §2.2 Fig. 3).
 
-use optimus_cluster::{
-    CollectiveKind, CommCostModel, DurNs, GpuProfile, KernelClass, ProcessGroup,
-};
+use optimus_cluster::{ClusterTopology, CollectiveKind, DurNs, KernelClass, ProcessGroup};
 
 use crate::config::TransformerConfig;
 
@@ -145,23 +143,19 @@ pub fn layer_kernels(
     }
 }
 
-/// Evaluates kernel durations against a hardware profile and a TP group.
+/// Evaluates kernel durations against a cluster topology (its GPU profile
+/// and link profiles) and a TP group.
 #[derive(Debug, Clone)]
 pub struct KernelTimer {
-    gpu: GpuProfile,
-    comm: CommCostModel,
+    topo: ClusterTopology,
     tp_group: ProcessGroup,
 }
 
 impl KernelTimer {
-    /// Binds a timer to a GPU profile, communication model and the TP group
-    /// whose collectives the layer issues.
-    pub fn new(gpu: GpuProfile, comm: CommCostModel, tp_group: ProcessGroup) -> KernelTimer {
-        KernelTimer {
-            gpu,
-            comm,
-            tp_group,
-        }
+    /// Binds a timer to a topology and the TP group whose collectives the
+    /// layer issues.
+    pub fn new(topo: ClusterTopology, tp_group: ProcessGroup) -> KernelTimer {
+        KernelTimer { topo, tp_group }
     }
 
     /// Duration of one kernel.
@@ -171,9 +165,9 @@ impl KernelTimer {
                 class,
                 flops,
                 bytes,
-            } => self.gpu.kernel_time(*class, *flops, *bytes),
+            } => self.topo.gpu.kernel_time(*class, *flops, *bytes),
             KernelBody::TpComm { kind, bytes } => {
-                self.comm.collective_time(*kind, *bytes, &self.tp_group)
+                self.topo.collective_time(*kind, *bytes, &self.tp_group)
             }
         }
     }
@@ -206,13 +200,10 @@ impl KernelTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optimus_cluster::ClusterTopology;
 
     fn timer(tp: u32) -> KernelTimer {
         let topo = ClusterTopology::hopper_cluster(8).unwrap();
-        let comm = CommCostModel::new(topo);
-        let group = ProcessGroup::contiguous(0, tp).unwrap();
-        KernelTimer::new(GpuProfile::h100(), comm, group)
+        KernelTimer::new(topo, ProcessGroup::contiguous(0, tp).unwrap())
     }
 
     #[test]

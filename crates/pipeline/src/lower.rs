@@ -129,10 +129,6 @@ pub struct Lowered {
     pub last: HashMap<OpKey, TaskId>,
     /// Task of each insert, parallel to the `inserts` argument.
     pub insert_tasks: Vec<TaskId>,
-    /// Per-device LLM compute kernels in queue order (for bubble anchoring).
-    pub compute_queue: Vec<Vec<TaskId>>,
-    /// Per-device LLM TP-comm kernels in queue order.
-    pub tpcomm_queue: Vec<Vec<TaskId>>,
 }
 
 impl Lowered {
@@ -196,8 +192,6 @@ pub fn lower(
     let mut graph = TaskGraph::new(pp);
     let mut first: HashMap<OpKey, TaskId> = HashMap::new();
     let mut last: HashMap<OpKey, TaskId> = HashMap::new();
-    let mut compute_queue: Vec<Vec<TaskId>> = vec![Vec::new(); pp as usize];
-    let mut tpcomm_queue: Vec<Vec<TaskId>> = vec![Vec::new(); pp as usize];
     let mut insert_tasks: Vec<Option<TaskId>> = vec![None; inserts.len()];
 
     // Pending cross-rank wires: (transfer task, producing op).
@@ -365,10 +359,8 @@ pub fn lower(
                 };
                 let tid = graph.push(k.label, rank, stream, k.dur, kind, deps);
                 if k.comm {
-                    tpcomm_queue[rank as usize].push(tid);
                     tp_qidx += 1;
                 } else {
-                    compute_queue[rank as usize].push(tid);
                     comp_qidx += 1;
                 }
                 if prev.is_none() {
@@ -487,8 +479,6 @@ pub fn lower(
         first,
         last,
         insert_tasks,
-        compute_queue,
-        tpcomm_queue,
     })
 }
 
@@ -640,14 +630,11 @@ mod tests {
 
     #[test]
     fn split_backward_preserves_total_time() {
-        use optimus_cluster::{ClusterTopology, CommCostModel, GpuProfile, ProcessGroup};
+        use optimus_cluster::{ClusterTopology, ProcessGroup};
         use optimus_modeling::TransformerConfig;
         let topo = ClusterTopology::hopper_cluster(8).unwrap();
-        let timer = optimus_modeling::KernelTimer::new(
-            GpuProfile::h100(),
-            CommCostModel::new(topo),
-            ProcessGroup::contiguous(0, 8).unwrap(),
-        );
+        let timer =
+            optimus_modeling::KernelTimer::new(topo, ProcessGroup::contiguous(0, 8).unwrap());
         let cfg = TransformerConfig::gpt_175b();
         let plain = StageSpec::transformer_layers(&cfg, 4, 2, 2048, 8, &timer);
         let split = StageSpec::transformer_layers_split(&cfg, 4, 2, 2048, 8, &timer);

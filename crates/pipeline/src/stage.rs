@@ -174,15 +174,11 @@ impl StageSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optimus_cluster::{ClusterTopology, CommCostModel, GpuProfile, ProcessGroup};
+    use optimus_cluster::{ClusterTopology, ProcessGroup};
 
     fn timer(tp: u32) -> KernelTimer {
         let topo = ClusterTopology::hopper_cluster(8).unwrap();
-        KernelTimer::new(
-            GpuProfile::h100(),
-            CommCostModel::new(topo),
-            ProcessGroup::contiguous(0, tp).unwrap(),
-        )
+        KernelTimer::new(topo, ProcessGroup::contiguous(0, tp).unwrap())
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! instead of `proptest`, so the suite needs no registry access and every
 //! failure reproduces bit-identically from the fixed seeds.
 
-use optimus::cluster::{ClusterTopology, CollectiveKind, CommCostModel, DurNs, ProcessGroup};
+use optimus::cluster::{ClusterTopology, CollectiveKind, DurNs, ProcessGroup};
 use optimus::parallel::{
     composition_count, enumerate_encoder_plans, enumerate_plans, Compositions, ParallelPlan,
 };
@@ -148,15 +148,14 @@ fn schedules_validate() {
 #[test]
 fn collectives_monotone() {
     let topo = ClusterTopology::hopper_cluster(16).unwrap();
-    let comm = CommCostModel::new(topo);
     let g = ProcessGroup::contiguous(0, 8).unwrap();
     let mut rng = StdRng::seed_from_u64(0xC0_11EC);
     for _ in 0..128 {
         let bytes_a = rng.random_range(1u64..1_000_000);
         let bytes_b = rng.random_range(1u64..1_000_000);
         let (small, large) = (bytes_a.min(bytes_b), bytes_a.max(bytes_b));
-        let ts = comm.collective_time(CollectiveKind::AllGather, small, &g);
-        let tl = comm.collective_time(CollectiveKind::AllGather, large, &g);
+        let ts = topo.collective_time(CollectiveKind::AllGather, small, &g);
+        let tl = topo.collective_time(CollectiveKind::AllGather, large, &g);
         assert!(ts <= tl);
     }
 }
